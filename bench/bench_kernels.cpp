@@ -1,7 +1,7 @@
 // Microbenchmarks of the kernels whose measured rates calibrate the
 // machine model (google-benchmark): raycasting samples/s, quantization,
-// temporal enhancement, gradients, Morton encoding, octree point location,
-// RLE, and LIC.
+// temporal enhancement, gradients, Morton encoding, octree and block-local
+// point location, RLE, and LIC.
 //
 // This is the one bench NOT on the qv-run-report schema: google-benchmark
 // already has machine-readable output (--benchmark_format=json); use that
@@ -113,6 +113,25 @@ struct RaycastFixture {
     }
   }
 };
+
+// Hint-less RenderBlock::locate (the path every ray's first sample and
+// every lit sample's gradient probes take): random points in block 0 of a
+// level-range(0) mesh decomposed at level 1.
+void BM_RenderBlockLocate(benchmark::State& state) {
+  RaycastFixture fx(int(state.range(0)));
+  const render::RenderBlock& block = fx.rblocks.front();
+  Box3 b = block.bounds();
+  Vec3 ext = b.extent();
+  Rng rng(7);
+  for (auto _ : state) {
+    Vec3 p = b.lo + Vec3{ext.x * rng.next_float(), ext.y * rng.next_float(),
+                         ext.z * rng.next_float()};
+    mesh::HexMesh::CellSample cs;
+    benchmark::DoNotOptimize(block.locate(p, cs));
+    benchmark::DoNotOptimize(cs);
+  }
+}
+BENCHMARK(BM_RenderBlockLocate)->Arg(5)->Arg(6);
 
 void BM_RaycastFrame(benchmark::State& state) {
   RaycastFixture fx(4);

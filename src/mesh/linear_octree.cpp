@@ -142,7 +142,12 @@ int LinearOctree::min_leaf_level() const {
 }
 
 std::ptrdiff_t LinearOctree::find_leaf(Vec3 p) const {
-  if (!domain_.contains(p) || leaves_.empty()) return -1;
+  return find_leaf(p, 0, leaves_.size());
+}
+
+std::ptrdiff_t LinearOctree::find_leaf(Vec3 p, std::size_t first,
+                                       std::size_t last) const {
+  if (first >= last || !domain_.contains(p)) return -1;
   Vec3 rel = p - domain_.lo;
   Vec3 ext = domain_.extent();
   auto grid = [&](float v, float e) {
@@ -151,10 +156,25 @@ std::ptrdiff_t LinearOctree::find_leaf(Vec3 p) const {
   };
   OctKey q{grid(rel.x, ext.x), grid(rel.y, ext.y), grid(rel.z, ext.z),
            std::uint8_t(kMaxLevel)};
-  return find_leaf(q);
+  return find_finest(q, first, last);
+}
+
+std::ptrdiff_t LinearOctree::find_finest(const OctKey& q, std::size_t first,
+                                         std::size_t last) const {
+  // A kMaxLevel key sorts after every leaf with the same anchor, so the
+  // upper bound over anchors alone is the OctKey upper bound.
+  auto begin = anchors_.begin() + std::ptrdiff_t(first);
+  auto it = std::upper_bound(begin, anchors_.begin() + std::ptrdiff_t(last),
+                             q.morton_at_max());
+  if (it == begin) return -1;
+  auto idx = std::size_t(it - anchors_.begin()) - 1;
+  const OctKey& leaf = leaves_[idx];
+  if (leaf == q || leaf.is_ancestor_of(q)) return std::ptrdiff_t(idx);
+  return -1;
 }
 
 std::ptrdiff_t LinearOctree::find_leaf(const OctKey& key) const {
+  if (key.level == kMaxLevel) return find_finest(key, 0, leaves_.size());
   auto it = std::upper_bound(leaves_.begin(), leaves_.end(), key);
   if (it == leaves_.begin()) return -1;
   --it;
@@ -194,6 +214,13 @@ std::pair<std::size_t, std::size_t> LinearOctree::subtree_range(
 void LinearOctree::sort_and_dedup() {
   std::sort(leaves_.begin(), leaves_.end());
   leaves_.erase(std::unique(leaves_.begin(), leaves_.end()), leaves_.end());
+  index_anchors();
+}
+
+void LinearOctree::index_anchors() {
+  anchors_.resize(leaves_.size());
+  for (std::size_t i = 0; i < leaves_.size(); ++i)
+    anchors_[i] = leaves_[i].morton_at_max();
 }
 
 void LinearOctree::balance() {
@@ -230,6 +257,7 @@ void LinearOctree::balance() {
     }
   }
   leaves_.assign(s.begin(), s.end());
+  index_anchors();
 }
 
 }  // namespace qv::mesh

@@ -49,10 +49,20 @@ class LinearOctree {
   int min_leaf_level() const;
 
   // Index of the leaf whose octant contains `p`, or -1 when `p` is outside
-  // the domain. Binary search in Morton order: O(log n).
+  // the domain. `p` is quantized to a kMaxLevel key and binary-searched
+  // against the cached leaf Morton anchors (integer compares, no encode per
+  // step): O(log n).
   std::ptrdiff_t find_leaf(Vec3 p) const;
 
-  // Index of the leaf equal to or containing `key`, or -1.
+  // The same search restricted to leaves [first, last), last <=
+  // leaf_count(): the containing leaf's index when it lies in the range,
+  // else -1. Leaves never overlap, so for a contiguous Morton range (a
+  // block) this equals find_leaf(p) filtered to the range, at
+  // O(log(last - first)).
+  std::ptrdiff_t find_leaf(Vec3 p, std::size_t first, std::size_t last) const;
+
+  // Index of the leaf equal to or containing `key`, or -1. A kMaxLevel key
+  // takes the anchor search; others binary-search in (anchor, level) order.
   std::ptrdiff_t find_leaf(const OctKey& key) const;
 
   // True when no leaf's face neighbor differs by more than one level.
@@ -66,9 +76,15 @@ class LinearOctree {
  private:
   void sort_and_dedup();
   void balance();
+  void index_anchors();
+  // find_leaf for a kMaxLevel key `q`, over leaves [first, last).
+  std::ptrdiff_t find_finest(const OctKey& q, std::size_t first,
+                             std::size_t last) const;
 
   Box3 domain_;
   std::vector<OctKey> leaves_;  // Morton-sorted
+  // leaves_[i].morton_at_max(), kept in step with leaves_ (non-decreasing).
+  std::vector<std::uint64_t> anchors_;
 };
 
 }  // namespace qv::mesh

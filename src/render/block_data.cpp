@@ -73,9 +73,11 @@ RenderBlock::RenderBlock(const mesh::HexMesh& mesh, const octree::Block& block,
     int nx = std::max(1, int(std::lround(mext.x * grid_scale_.x)));
     int ny = std::max(1, int(std::lround(mext.y * grid_scale_.y)));
     int nz = std::max(1, int(std::lround(mext.z * grid_scale_.z)));
-    for (int z = iz; z < std::min(iz + nz, grid_dim_); ++z)
-      for (int y = iy; y < std::min(iy + ny, grid_dim_); ++y)
-        for (int x = ix; x < std::min(ix + nx, grid_dim_); ++x)
+    // A block rooted inside a shallower leaf has one macro larger than its
+    // bounds, so clamp both ends to the grid.
+    for (int z = std::max(iz, 0); z < std::min(iz + nz, grid_dim_); ++z)
+      for (int y = std::max(iy, 0); y < std::min(iy + ny, grid_dim_); ++y)
+        for (int x = std::max(ix, 0); x < std::min(ix + nx, grid_dim_); ++x)
           macro_grid_[(std::size_t(z) * std::size_t(grid_dim_) +
                        std::size_t(y)) *
                           std::size_t(grid_dim_) +
@@ -132,7 +134,7 @@ void RenderBlock::refresh_macro_ranges() {
 }
 
 bool RenderBlock::locate(Vec3 p, mesh::HexMesh::CellSample& cs,
-                         std::size_t* hint) const {
+                         std::size_t* hint, std::uint64_t* searches) const {
   if (hint && *hint >= block_.cell_begin && *hint < block_.cell_end) {
     Box3 b = mesh_->cell_box(*hint);
     if (b.contains(p)) {
@@ -141,13 +143,11 @@ bool RenderBlock::locate(Vec3 p, mesh::HexMesh::CellSample& cs,
       cs.u = (p.x - b.lo.x) / ext.x;
       cs.v = (p.y - b.lo.y) / ext.y;
       cs.w = (p.z - b.lo.z) / ext.z;
-    } else if (!mesh_->locate(p, cs)) {
-      return false;
+      return true;
     }
-  } else if (!mesh_->locate(p, cs)) {
-    return false;
   }
-  if (cs.cell < block_.cell_begin || cs.cell >= block_.cell_end) return false;
+  if (searches) ++*searches;
+  if (!mesh_->locate(p, cs, block_.cell_begin, block_.cell_end)) return false;
   if (hint) *hint = cs.cell;
   return true;
 }

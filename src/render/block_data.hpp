@@ -67,15 +67,23 @@ class RenderBlock {
   // Trilinear scalar sample at p. False when p is not inside this block.
   // `hint` (optional) caches the containing cell between calls: rays take
   // many samples inside one cell before crossing into the next, so the
-  // O(log n) octree descent is skipped whenever the cached cell still
-  // contains p. Pass the same variable across consecutive samples of a ray.
+  // block-local search (see locate()) is skipped whenever the cached cell
+  // still contains p. Pass the same variable across consecutive samples of
+  // a ray.
   bool sample(Vec3 p, float& out, std::size_t* hint = nullptr) const;
 
   // Locate the cell containing p (same hint contract as sample()) without
   // interpolating — lets the raycaster consult the macrocell table before
   // paying for the trilinear fetch. False when p is outside this block.
+  // Without a usable hint this binary-searches only the block's own cells
+  // [cell_begin, cell_end) by cached Morton anchor (HexMesh::locate's range
+  // overload), so a point outside the block is rejected without touching
+  // the rest of the mesh; the result equals the global mesh locate filtered
+  // to the block. `searches` (optional) is incremented each time that
+  // search runs, i.e. once per hint miss.
   bool locate(Vec3 p, mesh::HexMesh::CellSample& cs,
-              std::size_t* hint = nullptr) const;
+              std::size_t* hint = nullptr,
+              std::uint64_t* searches = nullptr) const;
   // Trilinear interpolation for a cell previously located on this block.
   float interpolate(const mesh::HexMesh::CellSample& cs) const;
 

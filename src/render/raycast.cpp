@@ -49,7 +49,7 @@ void Raycaster::render_region(const Camera& camera, const RenderBlock& block,
   // Per-call accumulators; folded into RenderStats and the registry once at
   // the end so the inner loop touches only registers.
   std::uint64_t n_rays = 0, n_samples = 0, n_shaded = 0, n_early = 0;
-  std::uint64_t n_skipped = 0, n_macro_skips = 0;
+  std::uint64_t n_skipped = 0, n_macro_skips = 0, n_misses = 0;
 
   for (int py = tile.y0; py < tile.y1; ++py) {
     for (int px = tile.x0; px < tile.x1; ++px) {
@@ -98,7 +98,7 @@ void Raycaster::render_region(const Camera& camera, const RenderBlock& block,
           }
         }
         mesh::HexMesh::CellSample cs;
-        if (!block.locate(p, cs, &cell_hint)) continue;
+        if (!block.locate(p, cs, &cell_hint, &n_misses)) continue;
         float v = block.interpolate(cs);
         ++n_samples;
         float nv = std::clamp((v - opt_.value_lo) * inv_range, 0.0f, 1.0f);
@@ -132,15 +132,18 @@ void Raycaster::render_region(const Camera& camera, const RenderBlock& block,
     stats->shaded_samples += n_shaded;
     stats->skipped_samples += n_skipped;
     stats->macro_skips += n_macro_skips;
+    stats->locate_misses += n_misses;
   }
   static auto& rays_ctr = metrics::counter("render.rays");
   static auto& samples_ctr = metrics::counter("render.samples");
+  static auto& misses_ctr = metrics::counter("render.locate_misses");
   static auto& shaded_ctr = metrics::counter("render.shaded_samples");
   static auto& early_ctr = metrics::counter("render.early_terminations");
   static auto& skipped_ctr = metrics::counter("render.skipped_samples");
   static auto& mskip_ctr = metrics::counter("render.macro_skips");
   rays_ctr.add(n_rays);
   samples_ctr.add(n_samples);
+  misses_ctr.add(n_misses);
   shaded_ctr.add(n_shaded);
   early_ctr.add(n_early);
   skipped_ctr.add(n_skipped);
@@ -271,6 +274,7 @@ std::optional<std::vector<PartialImage>> render_blocks_cancellable(
       stats->shaded_samples += s.shaded_samples;
       stats->skipped_samples += s.skipped_samples;
       stats->macro_skips += s.macro_skips;
+      stats->locate_misses += s.locate_misses;
     }
   }
   if (per_block_seconds) {

@@ -54,6 +54,7 @@ struct RenderStats {
   std::uint64_t shaded_samples = 0;   // samples that hit non-zero opacity
   std::uint64_t skipped_samples = 0;  // sample positions jumped over as empty
   std::uint64_t macro_skips = 0;      // empty-macro jumps taken
+  std::uint64_t locate_misses = 0;    // locates whose cell hint missed (searched)
 };
 
 // Default edge (pixels) of the square image tiles render_blocks() fans out.

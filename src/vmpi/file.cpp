@@ -182,7 +182,8 @@ void File::read_all(std::span<std::uint8_t> out, double sieve_threshold) {
     const auto& b = all_blobs[std::size_t(r)];
     auto& v = all_ranges[std::size_t(r)];
     v.resize(b.size() / sizeof(WireRange));
-    std::memcpy(v.data(), b.data(), b.size());
+    // An empty participant sends an empty blob whose data() may be null.
+    if (!b.empty()) std::memcpy(v.data(), b.data(), b.size());
     for (const auto& w : v) {
       lo = std::min(lo, w.begin);
       hi = std::max(hi, w.end);

@@ -23,7 +23,8 @@ constexpr const char* kGoldenUnlit =
 constexpr const char* kGoldenLit =
     "38f5d51d65d01bf0ebb26a6933d7743025ecc25649da664a169403be3de9c846";
 
-std::string canonical_frame_hash(bool lighting, int threads = 1) {
+std::string canonical_frame_hash(bool lighting, int threads = 1,
+                                 RenderStats* stats = nullptr) {
   mesh::HexMesh mesh(mesh::LinearOctree::uniform(kUnit, 3));
   auto blocks = octree::decompose(mesh.octree(), 1);
   io::BlockNodeIndex index(mesh, blocks);
@@ -49,7 +50,7 @@ std::string canonical_frame_hash(bool lighting, int threads = 1) {
   Camera cam = Camera::overview(kUnit, 64, 48);
   util::ThreadPool pool(threads);
   img::Image frame = render_frame(cam, tf, opt, rblocks, blocks, kUnit,
-                                  nullptr, &pool);
+                                  stats, &pool);
   img::Image8 bytes = img::to_8bit(frame);
   return util::Sha256::hex(bytes.data(), bytes.byte_count());
 }
@@ -73,6 +74,24 @@ TEST(GoldenImage, LitCanonicalFrame) {
 TEST(GoldenImage, HashIsScheduleInvariant) {
   EXPECT_EQ(canonical_frame_hash(false, 3), kGoldenUnlit);
   EXPECT_EQ(canonical_frame_hash(true, 7), kGoldenLit);
+}
+
+// render.locate_misses counts the samples whose cell hint missed and paid
+// for a search. Hints reset per ray, so the count is a property of the
+// scene, not of the schedule; rays take several samples per cell, so most
+// samples hit the hint, but a ray's first located sample always searches.
+TEST(GoldenImage, LocateMissesAreScheduleInvariant) {
+  RenderStats serial;
+  EXPECT_EQ(canonical_frame_hash(false, 1, &serial), kGoldenUnlit);
+  EXPECT_GT(serial.locate_misses, 0u);
+  EXPECT_LT(serial.locate_misses, serial.samples);
+  for (int threads : {2, 3, 7}) {
+    RenderStats threaded;
+    EXPECT_EQ(canonical_frame_hash(false, threads, &threaded), kGoldenUnlit);
+    EXPECT_EQ(threaded.locate_misses, serial.locate_misses)
+        << "threads " << threads;
+    EXPECT_EQ(threaded.samples, serial.samples) << "threads " << threads;
+  }
 }
 
 }  // namespace

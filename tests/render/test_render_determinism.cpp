@@ -134,6 +134,7 @@ void expect_stats_eq(const RenderStats& a, const RenderStats& b) {
   EXPECT_EQ(a.shaded_samples, b.shaded_samples);
   EXPECT_EQ(a.skipped_samples, b.skipped_samples);
   EXPECT_EQ(a.macro_skips, b.macro_skips);
+  EXPECT_EQ(a.locate_misses, b.locate_misses);
 }
 
 // 5 random scenes x thread counts {1,2,4,7} = 20 seeded combinations.

@@ -6,12 +6,13 @@
 # the strict CLI parsing contract), an SLO gate (serve + replay runs under
 # two seeds must produce passing e2e-latency verdicts and flight-recorder
 # dumps the validator accepts), a ThreadSanitizer pass over the
-# message-passing runtime and the parallel renderer, a determinism/fuzz
-# stage run under two seeds, and the benchmark gate.
+# message-passing runtime and the parallel renderer, an AddressSanitizer +
+# UndefinedBehaviorSanitizer pass over the full test suite, a
+# determinism/fuzz stage run under two seeds, and the benchmark gate.
 # Usage: tools/ci.sh [--tier1-only|--trace-only|--stream-only|
 #                     --server-chaos-only|--cache-replay-only|slo-gate|
-#                     --steer-smoke-only|--tsan-only|--determinism-only|
-#                     --bench-gate-only]
+#                     --steer-smoke-only|--tsan-only|--asan-only|
+#                     --determinism-only|--bench-gate-only]
 #        tools/ci.sh --bench-update    # re-baseline BENCH_*.json
 # BENCH_THRESHOLD (default 0.15) sets the gate's relative regression bound.
 set -euo pipefail
@@ -254,6 +255,18 @@ tsan() {
       --gtest_filter='SteerCancellation.*'
 }
 
+asan_ubsan() {
+  echo "== asan-ubsan: full test suite under AddressSanitizer + UBSan =="
+  cmake -B build-asan -S . -DQV_SANITIZE=address,undefined \
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+  cmake --build build-asan -j "$JOBS"
+  # halt_on_error turns the first memory error or UB report into a failing
+  # test instead of a log line.
+  ASAN_OPTIONS="halt_on_error=1" \
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+      ctest --test-dir build-asan --output-on-failure -j 4 --timeout 600
+}
+
 slo_gate() {
   echo "== slo gate: e2e SLO verdicts + flight-recorder dumps, two seeds =="
   cmake -B build -S . >/dev/null
@@ -375,10 +388,11 @@ case "$MODE" in
   slo-gate|--slo-gate-only) slo_gate ;;
   --steer-smoke-only) steer_smoke ;;
   --tsan-only) tsan ;;
+  --asan-only) asan_ubsan ;;
   --determinism-only) determinism ;;
   --bench-gate-only) bench_gate ;;
   --bench-update) bench_update ;;
-  all|--all) tier1; trace_smoke; stream_smoke; server_chaos; cache_replay; slo_gate; steer_smoke; determinism; tsan; bench_gate ;;
-  *) echo "usage: tools/ci.sh [--tier1-only|--trace-only|--stream-only|--server-chaos-only|--cache-replay-only|slo-gate|--steer-smoke-only|--tsan-only|--determinism-only|--bench-gate-only|--bench-update]" >&2; exit 2 ;;
+  all|--all) tier1; trace_smoke; stream_smoke; server_chaos; cache_replay; slo_gate; steer_smoke; determinism; tsan; asan_ubsan; bench_gate ;;
+  *) echo "usage: tools/ci.sh [--tier1-only|--trace-only|--stream-only|--server-chaos-only|--cache-replay-only|slo-gate|--steer-smoke-only|--tsan-only|--asan-only|--determinism-only|--bench-gate-only|--bench-update]" >&2; exit 2 ;;
 esac
 echo "ci: OK"
