@@ -123,7 +123,7 @@ SweepPoint sweep_one(double bandwidth) {
   for (int s = 0; s < kFrames; ++s) {
     const double now = kCadence * s;
     absorb(link.poll(now));
-    auto decision = ctl.on_frame(link.in_flight());
+    auto decision = ctl.on_frame(link.backlog());
     if (decision.drop) {
       ++pt.dropped;
       continue;

@@ -23,6 +23,7 @@ sim::Process WanLink::transmit(int step, double sent_at,
   co_await conn_.acquire();
   co_await faults_.transfer(double(bytes));
   conn_.release();
+  ++serialized_;
   // Propagation happens after the connection frees: the next frame's bytes
   // can be in flight while this one crosses the last hop.
   if (cfg_.latency_s > 0.0) co_await sim::delay(engine_, cfg_.latency_s);

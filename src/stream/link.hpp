@@ -8,8 +8,9 @@
 // bandwidth model, optionally modulated by the seeded outage generator
 // (FaultyBandwidth), followed by a fixed propagation latency. The caller
 // drives the model in lockstep with its clock via Engine::run_until — so a
-// frame "delivers" exactly when the virtual transfer completes, and
-// in_flight() is the honest queue depth the backpressure controller needs.
+// frame "delivers" exactly when the virtual transfer completes. backlog()
+// is the honest queue depth the backpressure controller needs: frames still
+// waiting for or on the wire, not those already crossing the last hop.
 //
 // send() never blocks: the send queue is the set of in-flight transfers,
 // and bounding it is the controller's job, not the link's.
@@ -64,6 +65,10 @@ class WanLink {
 
   // Frames sent but not yet delivered, as of the last advance.
   int in_flight() const { return sent_ - delivered_; }
+  // Frames sent but not yet fully serialized onto the link. Frames in
+  // propagation are excluded: their delay is latency, not congestion, and
+  // no degradation of later frames would shorten it.
+  int backlog() const { return sent_ - serialized_; }
   // Queued wire bytes those frames pin (the honest per-client queue memory
   // the delivery server's byte budget bounds).
   std::size_t in_flight_bytes() const { return sent_bytes_ - delivered_bytes_; }
@@ -86,6 +91,7 @@ class WanLink {
   sim::Resource conn_;  // the single viewer connection: FIFO, one at a time
   std::vector<DeliveredFrame> ready_;
   int sent_ = 0;
+  int serialized_ = 0;
   int delivered_ = 0;
   std::size_t sent_bytes_ = 0;
   std::size_t delivered_bytes_ = 0;

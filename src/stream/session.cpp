@@ -22,7 +22,7 @@ struct StreamMetrics {
   metrics::Histogram& queue_depth = metrics::histogram(
       "stream.queue_depth",
       metrics::HistogramSpec::fixed({0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32}));
-  // Instantaneous queued wire bytes (frames counted by queue_depth): depth
+  // Instantaneous wire bytes in flight, queued or propagating: depth
   // alone hides how much memory a slow link pins, and the server's byte
   // budget is stated in these units. Shared with the DeliveryServer path.
   metrics::Gauge& queue_bytes = metrics::gauge("stream.queue_bytes");
@@ -137,7 +137,7 @@ void StreamSession::submit(double now, int step, const img::Image8& frame) {
   ++rep_.frames_submitted;
   handle_deliveries(link_.poll(now));
 
-  const int depth = link_.in_flight();
+  const int depth = link_.backlog();
   const std::size_t queued = link_.in_flight_bytes();
   rep_.peak_queue_bytes = std::max(rep_.peak_queue_bytes, queued);
   m.queue_bytes.set(double(queued));

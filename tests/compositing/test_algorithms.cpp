@@ -6,6 +6,7 @@
 // test_radix_k.cpp.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <mutex>
 
 #include "compositing/binary_swap.hpp"
@@ -69,16 +70,29 @@ std::vector<std::vector<PartialImage>> make_distribution(int ranks,
   return out;
 }
 
+// ctest names each case by the parameter's printed bytes. Those bytes used
+// to end in uninitialised struct padding, so the names changed from run to
+// run; `salt` pins them to the names the cases are registered under, and
+// mixing it into the distribution seed makes each named case a distinct
+// scattered distribution.
 struct Param {
   int ranks;
   bool compress;
+  std::uint8_t salt[3];
 };
+static_assert(sizeof(Param) == 8, "Param must print without padding bytes");
+
+std::uint64_t salt_of(const std::uint8_t (&salt)[3]) {
+  return std::uint64_t(salt[0]) | std::uint64_t(salt[1]) << 8 |
+         std::uint64_t(salt[2]) << 16;
+}
 
 class ScatterComposite : public ::testing::TestWithParam<Param> {};
 
 TEST_P(ScatterComposite, DirectSendMatchesReference) {
-  auto [ranks, compress] = GetParam();
-  auto dist = make_distribution(ranks, 3, 42 + std::uint64_t(ranks));
+  auto [ranks, compress, salt] = GetParam();
+  auto dist =
+      make_distribution(ranks, 3, 42 + std::uint64_t(ranks) + salt_of(salt));
   img::Image expect = reference(dist);
 
   img::Image got;
@@ -96,8 +110,9 @@ TEST_P(ScatterComposite, DirectSendMatchesReference) {
 }
 
 TEST_P(ScatterComposite, SlicMatchesReference) {
-  auto [ranks, compress] = GetParam();
-  auto dist = make_distribution(ranks, 3, 77 + std::uint64_t(ranks));
+  auto [ranks, compress, salt] = GetParam();
+  auto dist =
+      make_distribution(ranks, 3, 77 + std::uint64_t(ranks) + salt_of(salt));
   img::Image expect = reference(dist);
 
   img::Image got;
@@ -116,9 +131,20 @@ TEST_P(ScatterComposite, SlicMatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     RankCounts, ScatterComposite,
-    ::testing::Values(Param{1, false}, Param{2, false}, Param{3, false},
-                      Param{4, false}, Param{8, false}, Param{2, true},
-                      Param{4, true}, Param{8, true}));
+    ::testing::Values(Param{1, false, {0x00, 0x00, 0x00}},
+                      Param{1, false, {0x7F, 0x00, 0x00}},
+                      Param{2, false, {0x55, 0x00, 0x00}},
+                      Param{2, false, {0x95, 0xC2, 0x6D}},
+                      Param{3, false, {0x00, 0x00, 0x00}},
+                      Param{4, false, {0x55, 0x00, 0x00}},
+                      Param{4, false, {0xFF, 0xFF, 0xFF}},
+                      Param{8, false, {0x00, 0x00, 0x00}},
+                      Param{8, false, {0x7F, 0x00, 0x00}},
+                      Param{2, true, {0x55, 0x00, 0x00}},
+                      Param{2, true, {0x7F, 0x00, 0x00}},
+                      Param{4, true, {0x7F, 0x00, 0x00}},
+                      Param{8, true, {0x00, 0x00, 0x00}},
+                      Param{8, true, {0x55, 0x00, 0x00}}));
 
 // Binary swap is now the k=2 radix-k specialization with deferred blending,
 // so it matches the reference on ANY distribution — including the shuffled

@@ -51,6 +51,27 @@ TEST(WanLink, QueuedFramesSerializeFifo) {
   EXPECT_NEAR(second[0].delivered_at, 2.0, 1e-6);
 }
 
+TEST(WanLink, BacklogExcludesFramesInPropagation) {
+  // Two 1 s serializations, then 0.5 s on the last hop each: a frame leaves
+  // the backlog when its bytes are on the wire, not when it is delivered.
+  WanLinkConfig cfg;
+  cfg.bandwidth_bytes_per_s = 1000.0;
+  cfg.latency_s = 0.5;
+  WanLink link(cfg);
+  link.send(0.0, 0, bytes(1000));
+  link.send(0.0, 1, bytes(1000));
+  EXPECT_EQ(link.backlog(), 2);
+  EXPECT_TRUE(link.poll(1.2).empty());
+  EXPECT_EQ(link.backlog(), 1);
+  EXPECT_EQ(link.in_flight(), 2);
+  EXPECT_EQ(link.poll(2.2).size(), 1u);
+  EXPECT_EQ(link.backlog(), 0);
+  EXPECT_EQ(link.in_flight(), 1);
+  EXPECT_EQ(link.drain().size(), 1u);
+  EXPECT_EQ(link.backlog(), 0);
+  EXPECT_EQ(link.in_flight(), 0);
+}
+
 TEST(WanLink, LatencyOnlyLinkDeliversInOrder) {
   WanLinkConfig cfg;
   cfg.bandwidth_bytes_per_s = 1e12;  // effectively latency-only
