@@ -1,5 +1,6 @@
 #include "io/dataset.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -173,11 +174,18 @@ DatasetReader::DatasetReader(std::string dir) : dir_(std::move(dir)) {
   fine_tree_ = read_octree(dir_ + "/octree.bin");
 }
 
+const mesh::LinearOctree& DatasetReader::fine_octree() const {
+  auto it = meshes_.find(meta_.finest_level);
+  return it == meshes_.end() ? fine_tree_ : it->second->octree();
+}
+
 const mesh::HexMesh& DatasetReader::level_mesh(int level) {
+  level = std::min(level, meta_.finest_level);
   auto it = meshes_.find(level);
   if (it == meshes_.end()) {
     auto m = std::make_unique<mesh::HexMesh>(
-        level >= meta_.finest_level ? fine_tree_ : fine_tree_.clipped(level));
+        level == meta_.finest_level ? std::move(fine_tree_)
+                                    : fine_octree().clipped(level));
     it = meshes_.emplace(level, std::move(m)).first;
   }
   return *it->second;

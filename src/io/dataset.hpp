@@ -77,9 +77,13 @@ class DatasetReader {
   explicit DatasetReader(std::string dir);
 
   const DatasetMeta& meta() const { return meta_; }
-  const mesh::LinearOctree& fine_octree() const { return fine_tree_; }
+  // Owned by the reader until level_mesh() builds the finest mesh, then
+  // moved into that mesh (one copy per reader, not two): re-fetch it after
+  // that call rather than keeping an older reference.
+  const mesh::LinearOctree& fine_octree() const;
 
   // Lazily built, cached. Thread-compatible only (build before sharing).
+  // Levels at or above the finest level all give the finest mesh.
   const mesh::HexMesh& level_mesh(int level);
 
   // Byte offset of level `level`'s node array within a step file.

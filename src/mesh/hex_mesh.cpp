@@ -17,18 +17,15 @@ GridCoord corner_grid(const OctKey& k, int corner) {
 }  // namespace
 
 HexMesh::HexMesh(LinearOctree tree) : tree_(std::move(tree)) {
-  // The hash index costs a heap node per mesh node, so it lives only while
-  // the mesh is built; find_node() answers from the octree instead.
-  NodeIndex node_index;
-  build_nodes_and_cells(node_index);
-  build_constraints(node_index);
+  build_nodes_and_cells();
+  build_constraints();
   build_surface();
 }
 
-void HexMesh::build_nodes_and_cells(NodeIndex& node_index) {
+void HexMesh::build_nodes_and_cells() {
   auto leaves = tree_.leaves();
   cells_.resize(leaves.size());
-  node_index.reserve(leaves.size() * 2);
+  node_index_.reserve(leaves.size() * 2);
 
   const Box3& dom = tree_.domain();
   Vec3 ext = dom.extent();
@@ -38,7 +35,7 @@ void HexMesh::build_nodes_and_cells(NodeIndex& node_index) {
     for (int corner = 0; corner < 8; ++corner) {
       GridCoord gc = corner_grid(leaves[c], corner);
       auto [it, inserted] =
-          node_index.try_emplace(gc.packed(), NodeId(node_pos_.size()));
+          node_index_.try_emplace(gc.packed(), NodeId(node_pos_.size()));
       if (inserted) {
         node_grid_.push_back(gc);
         node_pos_.push_back(dom.lo + Vec3{ext.x * gc.x * inv_grid,
@@ -51,12 +48,7 @@ void HexMesh::build_nodes_and_cells(NodeIndex& node_index) {
   hanging_flag_.assign(node_pos_.size(), 0);
 }
 
-void HexMesh::build_constraints(const NodeIndex& node_index) {
-  auto find = [&](GridCoord gc) -> std::ptrdiff_t {
-    auto it = node_index.find(gc.packed());
-    return it == node_index.end() ? -1 : std::ptrdiff_t(it->second);
-  };
-
+void HexMesh::build_constraints() {
   // Edge (corner-pair) and face (corner-quad) index tables of a hexahedron
   // in our bit-coded corner numbering.
   static constexpr int kEdges[12][2] = {{0, 1}, {2, 3}, {4, 5}, {6, 7},
@@ -78,7 +70,7 @@ void HexMesh::build_constraints(const NodeIndex& node_index) {
     for (const auto& e : kEdges) {
       GridCoord a = corner_grid(k, e[0]);
       GridCoord b = corner_grid(k, e[1]);
-      auto idx = find(midpoint(a, b));
+      auto idx = find_node(midpoint(a, b));
       if (idx < 0) continue;
       HangingConstraint hc;
       hc.node = NodeId(idx);
@@ -91,7 +83,7 @@ void HexMesh::build_constraints(const NodeIndex& node_index) {
     for (const auto& f : kFaces) {
       GridCoord a = corner_grid(k, f[0]);
       GridCoord b = corner_grid(k, f[3]);  // diagonal corners of the face
-      auto idx = find(midpoint(a, b));
+      auto idx = find_node(midpoint(a, b));
       if (idx < 0) continue;
       HangingConstraint hc;
       hc.node = NodeId(idx);
@@ -136,20 +128,8 @@ void HexMesh::build_surface() {
 }
 
 std::ptrdiff_t HexMesh::find_node(GridCoord gc) const {
-  // A node is corner `o` of some leaf, and that leaf holds the finest grid
-  // cell touching the node from octant `o` (bit set = the cell lies on the
-  // low side along that axis).
-  const std::uint32_t n = 1u << kMaxLevel;
-  for (int o = 0; o < 8; ++o) {
-    OctKey cell{gc.x - std::uint32_t(o & 1), gc.y - std::uint32_t((o >> 1) & 1),
-                gc.z - std::uint32_t((o >> 2) & 1), std::uint8_t(kMaxLevel)};
-    // Unsigned: a cell below 0 wraps past n as well.
-    if (cell.x >= n || cell.y >= n || cell.z >= n) continue;
-    auto leaf = tree_.find_leaf(cell);
-    if (leaf >= 0 && corner_grid(tree_.leaves()[std::size_t(leaf)], o) == gc)
-      return std::ptrdiff_t(cells_[std::size_t(leaf)][std::size_t(o)]);
-  }
-  return -1;
+  auto it = node_index_.find(gc.packed());
+  return it == node_index_.end() ? -1 : std::ptrdiff_t(it->second);
 }
 
 bool HexMesh::locate(Vec3 p, CellSample& out) const {

@@ -69,8 +69,6 @@ class HexMesh {
   std::span<const NodeId> surface_nodes() const { return surface_; }
 
   // Node id at exact grid coords, or -1 when no node exists there.
-  // Looks the node up as a corner of the (at most eight) leaves around it
-  // in the octree: O(log n), no per-node index kept.
   std::ptrdiff_t find_node(GridCoord gc) const;
 
   // Trilinear interpolation of a per-node scalar field at point `p`.
@@ -104,10 +102,8 @@ class HexMesh {
   bool is_hanging(NodeId n) const { return hanging_flag_[n] != 0; }
 
  private:
-  // GridCoord::packed() -> NodeId, needed only while the mesh is built.
-  using NodeIndex = std::unordered_map<std::uint64_t, NodeId>;
-  void build_nodes_and_cells(NodeIndex& node_index);
-  void build_constraints(const NodeIndex& node_index);
+  void build_nodes_and_cells();
+  void build_constraints();
   void build_surface();
 
   LinearOctree tree_;
@@ -117,6 +113,7 @@ class HexMesh {
   std::vector<HangingConstraint> constraints_;  // sorted by cell_level
   std::vector<std::uint8_t> hanging_flag_;
   std::vector<NodeId> surface_;
+  std::unordered_map<std::uint64_t, NodeId> node_index_;
 };
 
 }  // namespace qv::mesh

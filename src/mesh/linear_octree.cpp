@@ -156,29 +156,26 @@ std::ptrdiff_t LinearOctree::find_leaf(Vec3 p, std::size_t first,
   };
   OctKey q{grid(rel.x, ext.x), grid(rel.y, ext.y), grid(rel.z, ext.z),
            std::uint8_t(kMaxLevel)};
-  return find_finest(q, first, last);
-}
-
-std::ptrdiff_t LinearOctree::find_finest(const OctKey& q, std::size_t first,
-                                         std::size_t last) const {
-  // A kMaxLevel key sorts after every leaf with the same anchor, so the
-  // upper bound over anchors alone is the OctKey upper bound.
-  auto begin = anchors_.begin() + std::ptrdiff_t(first);
-  auto it = std::upper_bound(begin, anchors_.begin() + std::ptrdiff_t(last),
-                             q.morton_at_max());
-  if (it == begin) return -1;
-  auto idx = std::size_t(it - anchors_.begin()) - 1;
-  const OctKey& leaf = leaves_[idx];
-  if (leaf == q || leaf.is_ancestor_of(q)) return std::ptrdiff_t(idx);
-  return -1;
+  return search(q, first, last);
 }
 
 std::ptrdiff_t LinearOctree::find_leaf(const OctKey& key) const {
-  if (key.level == kMaxLevel) return find_finest(key, 0, leaves_.size());
-  auto it = std::upper_bound(leaves_.begin(), leaves_.end(), key);
-  if (it == leaves_.begin()) return -1;
-  --it;
-  if (*it == key || it->is_ancestor_of(key)) return it - leaves_.begin();
+  return search(key, 0, leaves_.size());
+}
+
+std::ptrdiff_t LinearOctree::search(const OctKey& key, std::size_t first,
+                                    std::size_t last) const {
+  // Leaves never overlap, so anchors_ is strictly increasing and at most one
+  // leaf shares the key's anchor. The last leaf anchored at or before the
+  // key is therefore the only one that can equal or contain it, whatever
+  // the key's level.
+  auto begin = anchors_.begin() + std::ptrdiff_t(first);
+  auto it = std::upper_bound(begin, anchors_.begin() + std::ptrdiff_t(last),
+                             key.morton_at_max());
+  if (it == begin) return -1;
+  auto idx = std::size_t(it - anchors_.begin()) - 1;
+  const OctKey& leaf = leaves_[idx];
+  if (leaf == key || leaf.is_ancestor_of(key)) return std::ptrdiff_t(idx);
   return -1;
 }
 

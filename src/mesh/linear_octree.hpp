@@ -61,8 +61,8 @@ class LinearOctree {
   // O(log(last - first)).
   std::ptrdiff_t find_leaf(Vec3 p, std::size_t first, std::size_t last) const;
 
-  // Index of the leaf equal to or containing `key`, or -1. A kMaxLevel key
-  // takes the anchor search; others binary-search in (anchor, level) order.
+  // Index of the leaf equal to or containing `key`, or -1. Any level; the
+  // same anchor search as find_leaf(p).
   std::ptrdiff_t find_leaf(const OctKey& key) const;
 
   // True when no leaf's face neighbor differs by more than one level.
@@ -77,13 +77,14 @@ class LinearOctree {
   void sort_and_dedup();
   void balance();
   void index_anchors();
-  // find_leaf for a kMaxLevel key `q`, over leaves [first, last).
-  std::ptrdiff_t find_finest(const OctKey& q, std::size_t first,
-                             std::size_t last) const;
+  // The leaf in [first, last) equal to or containing `key`, or -1.
+  std::ptrdiff_t search(const OctKey& key, std::size_t first,
+                        std::size_t last) const;
 
   Box3 domain_;
   std::vector<OctKey> leaves_;  // Morton-sorted
-  // leaves_[i].morton_at_max(), kept in step with leaves_ (non-decreasing).
+  // leaves_[i].morton_at_max(), kept in step with leaves_ (strictly
+  // increasing: leaves never overlap).
   std::vector<std::uint64_t> anchors_;
 };
 

@@ -19,7 +19,7 @@
 namespace qv::stream {
 
 struct ControllerConfig {
-  int queue_capacity = 8;  // frames backlogged at which we drop outright
+  int queue_capacity = 8;  // queue depth at which we drop outright
   int high_water = 4;      // depth at which we escalate one level
   int low_water = 1;       // depth at or below which we accrue recovery credit
   int recover_after = 3;   // consecutive low-water frames per de-escalation
@@ -50,8 +50,8 @@ class DegradationController {
   const ControllerConfig& config() const { return cfg_; }
 
   // One observation per produced frame, BEFORE encoding it: `queue_depth`
-  // is the number of frames not yet serialized onto the link
-  // (WanLink::backlog()).
+  // is the link's queue depth in frames. StreamSession passes
+  // WanLink::backlog(), DeliveryServer WanLink::in_flight().
   Decision on_frame(int queue_depth) {
     if (queue_depth >= cfg_.high_water) {
       level_ = std::min(level_ + 1, max_level());

@@ -482,7 +482,7 @@ void DeliveryServer::submit(double now, int step, const img::Image8& frame) {
     service(c, now);
     if (!c.connected) continue;
 
-    Decision d = c.controller.on_frame(c.link->backlog());
+    Decision d = c.controller.on_frame(c.link->in_flight());
     const int tier = d.tier;
     // Chain safety: a delta is only valid against the exact frame the bank's
     // tier chain references, and only for a client that received that frame

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -106,6 +107,28 @@ TEST(Dataset, WriteReadFullCycle) {
     expect_off += reader.level_bytes(level);
   }
   EXPECT_EQ(std::filesystem::file_size(reader.step_path(0)), expect_off);
+}
+
+// The finest mesh takes over the reader's octree; coarse levels built after
+// it still clip the same leaves, and levels past the finest share its mesh.
+TEST(Dataset, ReaderBuildsLevelsInAnyOrder) {
+  TempDir dir("qv_ds_order");
+  auto fine = small_mesh();
+  const int coarsest = 2;
+  DatasetWriter writer(dir.str(), fine, coarsest, 3, 0.1f);
+  writer.write_step(quake::SyntheticQuake{}.sample_nodes(fine, 0.5f));
+  writer.finish();
+
+  DatasetReader reader(dir.str());
+  const int finest = reader.meta().finest_level;
+  const auto& top = reader.level_mesh(finest);
+  EXPECT_EQ(&reader.level_mesh(finest + 1), &top);
+  for (int level = finest; level >= coarsest; --level) {
+    auto got = reader.level_mesh(level).octree().leaves();
+    auto want = writer.level_mesh(level).octree().leaves();
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "level " << level;
+  }
 }
 
 TEST(Dataset, CoarseLevelsAreNodalRestrictions) {

@@ -166,19 +166,5 @@ TEST(HexMesh, FindNodeMissReturnsNegative) {
   EXPECT_EQ(mesh.find_node({1, 1, 1}), -1);
 }
 
-// find_node inverts node_grid_coords() on an adaptive mesh (hanging nodes
-// included), and misses between lattice points.
-TEST(HexMesh, FindNodeRoundTripsEveryNode) {
-  HexMesh mesh = adaptive_mesh(1, 4);
-  ASSERT_FALSE(mesh.constraints().empty());
-  auto coords = mesh.node_grid_coords();
-  for (std::size_t n = 0; n < coords.size(); ++n) {
-    ASSERT_EQ(mesh.find_node(coords[n]), std::ptrdiff_t(n)) << "node " << n;
-    GridCoord off = coords[n];
-    off.x += 1;
-    EXPECT_EQ(mesh.find_node(off), -1) << "node " << n;
-  }
-}
-
 }  // namespace
 }  // namespace qv::mesh
