@@ -46,9 +46,9 @@ enum class Colormap {
 // the (step, epoch) frame id with no runtime broadcast. The view epoch IS
 // the newest applied request id; each fold invalidates the delivery delta
 // chains (stream apply_view_change), so the first frame a client sees after
-// an edit is a keyframe. Exclusive with rebalance-driven epochs and with
-// the content-addressed frame cache (an edit changes pixels the cache
-// identity cannot see) — run_pipeline rejects both combinations.
+// an edit is a keyframe. Exclusive with rebalance-driven epochs (both own
+// the epoch field) — run_pipeline rejects the combination. ViewSchedule
+// (core/view_schedule.hpp) is the fold every rank runs.
 struct SteeringConfig {
   bool enabled = false;
   std::uint64_t seed = 1;  // generated-trace seed (used when path empty)

@@ -4,11 +4,12 @@
 #include <cstring>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 
 #include "compositing/slic.hpp"
 #include "core/frame_msg.hpp"
+#include "core/output.hpp"
+#include "core/view_schedule.hpp"
 #include "trace/trace.hpp"
 #include "io/block_index.hpp"
 #include "io/preprocess.hpp"
@@ -48,56 +49,20 @@ struct Setup {
   std::vector<int> owners;
   io::BlockNodeIndex index;
   render::TransferFunction tf;
-
-  // Numbered steering trace (empty unless cfg.steer.enabled); identical on
-  // every rank, so all roles agree on the view-at-snapshot fold.
-  std::vector<stream::SteerEvent> steer_trace;
+  ViewSchedule views;  // camera + steering fold per snapshot
 
   explicit Setup(const InsituConfig& cfg)
       : mesh(build_insitu_mesh(cfg)),
         tf(cfg.colormap == Colormap::kSeismic
                ? render::TransferFunction::seismic()
-               : render::TransferFunction::grayscale()) {
+               : render::TransferFunction::grayscale()),
+        views("insitu", cfg.steer, cfg.snapshots, cfg.render, mesh.domain(),
+              cfg.width, cfg.height, cfg.orbit_deg_per_step) {
     blocks = octree::decompose(mesh.octree(), cfg.block_level);
     octree::estimate_workloads(mesh.octree(), blocks,
                                octree::WorkloadModel::kCellCount);
     owners = octree::assign_blocks(blocks, cfg.render_procs, cfg.assign);
     index = io::BlockNodeIndex(mesh, blocks);
-    if (cfg.steer.enabled) {
-      std::vector<stream::SteerEvent> trace;
-      if (!cfg.steer.trace_path.empty()) {
-        std::string err;
-        auto loaded = stream::load_steer_trace(cfg.steer.trace_path, &err);
-        if (!loaded) throw std::runtime_error("insitu: steering trace: " + err);
-        trace = std::move(*loaded);
-      } else {
-        trace = stream::make_steer_trace(cfg.steer.seed, cfg.snapshots,
-                                         cfg.steer.edits);
-      }
-      for (const auto& ev : trace) {
-        if (ev.msg.kind == stream::SteerKind::kScrub)
-          throw std::runtime_error(
-              "insitu: scrub edits are serve-loop only — the solver's "
-              "snapshots arrive in simulation order");
-      }
-      steer_trace = stream::number_steer_trace(std::move(trace));
-    }
-  }
-
-  stream::SteeringState steer_view(const InsituConfig& cfg, int snap) const {
-    stream::SteeringState base;
-    base.value_lo = cfg.render.value_lo;
-    base.value_hi = cfg.render.value_hi;
-    return stream::fold_steer_trace(steer_trace, snap, base);
-  }
-  std::uint32_t epoch_of(const InsituConfig& cfg, int snap) const {
-    return cfg.steer.enabled ? steer_view(cfg, snap).epoch : 0;
-  }
-
-  render::Camera camera(const InsituConfig& cfg, int snap) const {
-    float az = cfg.orbit_deg_per_step * float(snap);
-    if (cfg.steer.enabled) az += steer_view(cfg, snap).azimuth_deg;
-    return render::Camera::orbit(mesh.domain(), cfg.width, cfg.height, az);
   }
 };
 
@@ -203,16 +168,15 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
       }
     }
 
-    if (cfg.steer.enabled &&
-        st.epoch_of(cfg, snap) != steer_epoch) {
-      const stream::SteeringState v = st.steer_view(cfg, snap);
+    if (cfg.steer.enabled && st.views.epoch(snap) != steer_epoch) {
+      const stream::SteeringState v = st.views.at(snap);
       render::RenderOptions opt = cfg.render;
       opt.value_lo = v.value_lo;
       opt.value_hi = v.value_hi;
       rc = render::Raycaster(st.tf, opt, st.mesh.domain().extent().x);
       steer_epoch = v.epoch;
     }
-    render::Camera camera = st.camera(cfg, snap);
+    render::Camera camera = st.views.camera(snap);
     auto order = render::visibility_order(st.blocks, st.mesh.domain(),
                                           camera.eye());
     for (std::size_t i = 0; i < order.size(); ++i)
@@ -234,7 +198,7 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
     }
     if (obs::lineage::enabled()) {
       obs::lineage::record_wall(
-          obs::lineage::Stage::kRender, snap, st.epoch_of(cfg, snap),
+          obs::lineage::Stage::kRender, snap, st.views.epoch(snap),
           obs::lineage::ChannelKind::kRank, world.rank(),
           double(trace::now_since_epoch_ns() - render_t0) * 1e-9);
     }
@@ -248,7 +212,7 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
     }
     if (obs::lineage::enabled()) {
       obs::lineage::record_wall(
-          obs::lineage::Stage::kComposite, snap, st.epoch_of(cfg, snap),
+          obs::lineage::Stage::kComposite, snap, st.views.epoch(snap),
           obs::lineage::ChannelKind::kRank, world.rank(),
           double(trace::now_since_epoch_ns() - comp_t0) * 1e-9);
     }
@@ -261,90 +225,28 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
 
 void run_output(Shared& sh, const Setup& st, vmpi::Comm& world) {
   const InsituConfig& cfg = sh.cfg;
-  WallTimer clock;
-  std::vector<double> frame_seconds;
-  std::optional<stream::StreamSession> session;
-  if (cfg.stream.enabled)
-    session.emplace(cfg.stream, cfg.width, cfg.height);
-  std::optional<stream::DeliveryServer> server;
-  if (cfg.serve.enabled && cfg.serve.count > 0) {
-    stream::ServerConfig scfg = cfg.serve.server;
-    if (cfg.serve.cache_bytes > 0) {
-      scfg.cache = std::make_shared<stream::FrameCache>(
-          stream::CacheConfig{cfg.serve.cache_bytes});
-      // Identity trust contract (stream/cache.hpp): in-situ frames are
-      // determined by the synthetic source + solver setup and the view.
-      scfg.identity.dataset_id =
-          "insitu:" + std::to_string(cfg.source.peak_freq_hz) + ":" +
-          std::to_string(cfg.source.amplitude) + ":" +
-          std::to_string(cfg.steps_per_snapshot) + ":" +
-          std::to_string(cfg.sim_procs);
-      scfg.identity.camera_hash = stream::hash64(
-          std::to_string(cfg.width) + "x" + std::to_string(cfg.height) +
-          ":orbit=" + std::to_string(cfg.orbit_deg_per_step) +
-          ":var=" + std::to_string(int(cfg.variable)));
-      scfg.identity.tf_hash = stream::hash64(
-          "cm=" + std::to_string(int(cfg.colormap)) +
-          ":lo=" + std::to_string(cfg.render.value_lo) +
-          ":hi=" + std::to_string(cfg.render.value_hi) +
-          ":light=" + std::to_string(cfg.render.lighting ? 1 : 0));
-    }
-    server.emplace(scfg, cfg.width, cfg.height);
-    for (const auto& lc : stream::make_fleet(cfg.serve)) server->join(0.0, lc);
-  }
-  int last_epoch = 0;
+  OutputSink sink(cfg, "insitu_", world.rank(), sh.frames_out);
   for (int snap = 0; snap < cfg.snapshots; ++snap) {
     std::vector<std::uint8_t> msg;
     {
       trace::Span wait_span("pipeline", "wait_frame", snap);
       world.recv(vmpi::kAnySource, tag_frame(snap), msg);
     }
-    trace::Span frame_span("pipeline", "frame", snap);
-    const std::int64_t frame_t0 =
-        obs::lineage::enabled() ? trace::now_since_epoch_ns() : 0;
-    const std::uint32_t epoch = st.epoch_of(cfg, snap);
-    if (int(epoch) != last_epoch) {
-      // Steering epoch: stamp the new frame id AND reset every delta chain
-      // (first post-edit frame per client is a keyframe); per-client
-      // controller state survives — an edit is not a network event.
-      if (session) session->apply_view_change(epoch);
-      if (server) server->apply_view_change(epoch);
-      if (obs::lineage::enabled()) {
-        obs::lineage::record_wall(obs::lineage::Stage::kSteerApply, snap,
-                                  epoch, obs::lineage::ChannelKind::kRank,
-                                  world.rank());
-      }
-      last_epoch = int(epoch);
-    }
+    sink.begin(snap, st.views.epoch(snap));
     img::Image frame(cfg.width, cfg.height);
     auto view = parse_frame_msg(msg, frame.pixels().size());
     if (!view) throw std::runtime_error("insitu: bad frame message");
     std::memcpy(frame.pixels().data(), view->pixels.data(),
                 view->pixels.size_bytes());
-    frame_seconds.push_back(clock.seconds());
-    if (!cfg.output_dir.empty() || session || server) {
-      img::Image8 out8 = img::to_8bit(frame, {0.02f, 0.02f, 0.05f});
-      if (!cfg.output_dir.empty()) {
-        char name[64];
-        std::snprintf(name, sizeof(name), "/insitu_%04d.ppm", snap);
-        img::write_ppm(cfg.output_dir + name, out8);
-      }
-      if (session) session->submit(clock.seconds(), snap, out8);
-      if (server) server->submit(clock.seconds(), snap, out8);
-    }
-    if (obs::lineage::enabled()) {
-      obs::lineage::record_wall(
-          obs::lineage::Stage::kFrame, snap, epoch,
-          obs::lineage::ChannelKind::kRank, world.rank(),
-          double(trace::now_since_epoch_ns() - frame_t0) * 1e-9);
-    }
-    if (sh.frames_out) sh.frames_out->push_back(std::move(frame));
+    sink.emit(std::move(frame));
   }
+  OutputSink::Report out = sink.finish();
   std::lock_guard lk(sh.mu);
-  sh.report.frame_seconds = std::move(frame_seconds);
+  sh.report.frame_seconds = std::move(out.frame_seconds);
+  sh.report.avg_interframe = out.avg_interframe;
   sh.report.snapshots = cfg.snapshots;
-  if (session) sh.report.stream = session->finish();
-  if (server) sh.report.server = server->finish();
+  sh.report.stream = std::move(out.stream);
+  sh.report.server = std::move(out.server);
 }
 
 }  // namespace
@@ -363,10 +265,6 @@ InsituReport run_insitu(const InsituConfig& config,
   if (config.render_procs < 1 || config.snapshots < 1 ||
       config.sim_procs < 1)
     throw std::runtime_error("insitu: bad configuration");
-  if (config.steer.enabled && config.serve.cache_bytes > 0)
-    throw std::runtime_error(
-        "insitu: steering edits change pixels outside the frame-cache "
-        "identity (camera/TF move mid-run); disable --cache-bytes");
   Shared sh{config, frames_out, {}, {}};
 
   vmpi::Runtime::run(config.world_size(), [&sh, &config](vmpi::Comm& world) {

@@ -55,8 +55,7 @@ struct InsituConfig {
   stream::ServeFleetConfig serve;
 
   // Interactive steering over the monitored run (same semantics as
-  // PipelineConfig::steer; snapshots take the role of steps). Exclusive
-  // with the frame cache for the same identity reason.
+  // PipelineConfig::steer; snapshots take the role of steps).
   SteeringConfig steer;
 
   int world_size() const { return sim_procs + render_procs + 1; }
@@ -64,6 +63,7 @@ struct InsituConfig {
 
 struct InsituReport {
   std::vector<double> frame_seconds;  // wall-clock completion per snapshot
+  double avg_interframe = 0.0;        // steady-state (second half) mean
   double sim_seconds = 0.0;           // time the solver spent stepping
   double sim_time_reached = 0.0;      // simulated seconds at the last frame
   int snapshots = 0;

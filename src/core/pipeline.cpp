@@ -15,6 +15,8 @@
 #include "compositing/slic.hpp"
 #include "core/frame_msg.hpp"
 #include "core/ground_overlay.hpp"
+#include "core/output.hpp"
+#include "core/view_schedule.hpp"
 #include "img/image.hpp"
 #include "io/block_index.hpp"
 #include "io/codec.hpp"
@@ -248,9 +250,7 @@ struct Setup {
   io::BlockNodeIndex index;
   render::TransferFunction tf;
   int num_steps;
-  // Numbered steering trace (empty unless cfg.steer.enabled): ids 1..N in
-  // step order, identical on every rank (config-distributed).
-  std::vector<stream::SteerEvent> steer_trace;
+  ViewSchedule views;  // camera + steering fold per step
 
   explicit Setup(const PipelineConfig& config)
       : cfg(config),
@@ -262,56 +262,24 @@ struct Setup {
                ? render::TransferFunction::from_file(config.tf_file)
                : (config.colormap == Colormap::kSeismic
                       ? render::TransferFunction::seismic()
-                      : render::TransferFunction::grayscale())) {
+                      : render::TransferFunction::grayscale())),
+        num_steps(config.num_steps < 0
+                      ? reader.meta().num_steps
+                      : std::min(config.num_steps, reader.meta().num_steps)),
+        views("pipeline", config.steer, num_steps, config.render,
+              reader.meta().domain, config.width, config.height,
+              config.orbit_deg_per_step) {
     blocks = octree::decompose(mesh->octree(), cfg.block_level);
     octree::estimate_workloads(mesh->octree(), blocks,
                                octree::WorkloadModel::kCellCount);
     owners = octree::assign_blocks(blocks, cfg.render_procs, cfg.assign);
     index = io::BlockNodeIndex(*mesh, blocks);
-    num_steps = cfg.num_steps < 0
-                    ? reader.meta().num_steps
-                    : std::min(cfg.num_steps, reader.meta().num_steps);
-    if (cfg.steer.enabled) {
-      std::vector<stream::SteerEvent> trace;
-      if (!cfg.steer.trace_path.empty()) {
-        std::string err;
-        auto loaded = stream::load_steer_trace(cfg.steer.trace_path, &err);
-        if (!loaded)
-          throw std::runtime_error("pipeline: steering trace: " + err);
-        trace = std::move(*loaded);
-      } else {
-        trace = stream::make_steer_trace(cfg.steer.seed, num_steps,
-                                         cfg.steer.edits);
-      }
-      for (const auto& ev : trace) {
-        if (ev.msg.kind == stream::SteerKind::kScrub)
-          throw std::runtime_error(
-              "pipeline: scrub edits are serve-loop only — the batch "
-              "pipeline reads dataset steps in order");
-      }
-      steer_trace = stream::number_steer_trace(std::move(trace));
-    }
   }
 
-  // The base (un-steered) view the steering fold starts from.
-  stream::SteeringState steer_base() const {
-    stream::SteeringState v;
-    v.value_lo = cfg.render.value_lo;
-    v.value_hi = cfg.render.value_hi;
-    return v;
-  }
-  stream::SteeringState steer_view(int step) const {
-    return stream::fold_steer_trace(steer_trace, step, steer_base());
-  }
-
-  render::Camera camera(int step) const {
-    float az = cfg.orbit_deg_per_step * float(step);
-    if (cfg.steer.enabled) az += steer_view(step).azimuth_deg;
-    return render::Camera::orbit(reader.meta().domain, cfg.width, cfg.height,
-                                 az);
-  }
+  // Steering and rebalancing both own the view epoch (run_pipeline rejects
+  // enabling both).
   int epoch_of(int step) const {
-    if (cfg.steer.enabled) return int(steer_view(step).epoch);
+    if (cfg.steer.enabled) return int(views.epoch(step));
     return cfg.rebalance_every > 0 ? step / cfg.rebalance_every : 0;
   }
 
@@ -868,7 +836,7 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
 
   // View-dependent preprocessing (§4): global visibility ranks, recomputed
   // whenever the viewpoint moves.
-  render::Camera camera = st.camera(0);
+  render::Camera camera = st.views.camera(0);
   std::vector<std::uint32_t> rank_of(st.blocks.size());
   auto recompute_order = [&]() {
     auto order = render::visibility_order(st.blocks, st.mesh->domain(),
@@ -907,12 +875,12 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
   const bool steering = cfg.steer.enabled;
   std::uint32_t steer_epoch = 0;
   auto apply_steer = [&](int s) {
-    const stream::SteeringState v = st.steer_view(s);
+    const stream::SteeringState v = st.views.at(s);
     render::RenderOptions opt = cfg.render;
     opt.value_lo = v.value_lo;
     opt.value_hi = v.value_hi;
     rc = render::Raycaster(st.tf, opt, st.mesh->domain().extent().x);
-    camera = st.camera(s);
+    camera = st.views.camera(s);
     recompute_order();
     steer_epoch = v.epoch;
   };
@@ -1046,7 +1014,7 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
 
     // --- local rendering ----------------------------------------------------
     if (orbiting && s > 0) {
-      camera = st.camera(s);
+      camera = st.views.camera(s);
       recompute_order();
     }
     // Steering edits fold in at the step boundary: the first step rendered
@@ -1198,77 +1166,16 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
 
 void run_output(Shared& sh, const Setup& st, vmpi::Comm& world) {
   const PipelineConfig& cfg = sh.config;
-  WallTimer clock;
-  std::vector<double> frame_seconds;
+  OutputSink sink(cfg, "frame_", world.rank(), sh.frames_out);
   std::vector<int> degraded_steps;
   std::vector<float> last_gray;  // LIC texture frame-repeat buffer
-  std::optional<stream::StreamSession> session;
-  if (cfg.stream.enabled)
-    session.emplace(cfg.stream, cfg.width, cfg.height);
-  std::optional<stream::DeliveryServer> server;
-  if (cfg.serve.enabled && cfg.serve.count > 0) {
-    stream::ServerConfig scfg = cfg.serve.server;
-    if (cfg.serve.cache_bytes > 0) {
-      scfg.cache = std::make_shared<stream::FrameCache>(
-          stream::CacheConfig{cfg.serve.cache_bytes});
-      // The cache trust contract (stream/cache.hpp): the identity must
-      // cover every run-scoped input that affects the rendered pixels.
-      // render_threads is deliberately absent — intra-rank parallelism is
-      // bit-exact by construction (test_render_determinism pins it).
-      scfg.identity.dataset_id = cfg.dataset_dir;
-      scfg.identity.camera_hash = stream::hash64(
-          std::to_string(cfg.width) + "x" + std::to_string(cfg.height) +
-          ":level=" + std::to_string(cfg.adaptive_level) +
-          ":orbit=" + std::to_string(cfg.orbit_deg_per_step) +
-          ":var=" + std::to_string(int(cfg.variable)) +
-          ":enh=" + std::to_string(cfg.enhancement ? cfg.enhancement_gain
-                                                   : 0.0f) +
-          ":lic=" + std::to_string(cfg.lic_overlay ? cfg.lic_resolution : 0));
-      scfg.identity.tf_hash = stream::hash64(
-          cfg.tf_file + ":cm=" + std::to_string(int(cfg.colormap)) +
-          ":lo=" + std::to_string(cfg.render.value_lo) +
-          ":hi=" + std::to_string(cfg.render.value_hi) +
-          ":light=" + std::to_string(cfg.render.lighting ? 1 : 0) +
-          ":step=" + std::to_string(cfg.render.step_scale) +
-          ":ref=" + std::to_string(cfg.render.ref_length));
-    }
-    server.emplace(scfg, cfg.width, cfg.height);
-    for (const auto& lc : stream::make_fleet(cfg.serve)) server->join(0.0, lc);
-  }
-  int last_epoch = 0;  // encoders start at epoch 0; bump on rebalance
   for (int s = 0; s < st.num_steps; ++s) {
     std::vector<std::uint8_t> msg;
     {
       trace::Span wait_span("pipeline", "wait_frame", s);
       world.recv(vmpi::kAnySource, tag_frame(s), msg);
     }
-    trace::Span frame_span("pipeline", "frame", s);
-    const std::int64_t frame_t0 =
-        obs::lineage::enabled() ? trace::now_since_epoch_ns() : 0;
-    const std::uint32_t epoch = std::uint32_t(st.epoch_of(s));
-    if (int(epoch) != last_epoch) {
-      // (step, epoch) is the end-to-end frame id; the encoders stamp it
-      // into every wire header from here on.
-      if (cfg.steer.enabled) {
-        // A steering epoch means the view changed: invalidate every delta
-        // chain too, so no delta crosses the edit (first post-edit frame
-        // each client sees is a keyframe) — and leave per-client controller
-        // state alone (an edit is not a network event).
-        if (session) session->apply_view_change(epoch);
-        if (server) server->apply_view_change(epoch);
-        if (obs::lineage::enabled()) {
-          // epoch == the newest applied request id: this event records
-          // request_id -> first-serving-step for the flight recorder.
-          obs::lineage::record_wall(obs::lineage::Stage::kSteerApply, s,
-                                    epoch, obs::lineage::ChannelKind::kRank,
-                                    world.rank());
-        }
-      } else {
-        if (session) session->set_epoch(epoch);
-        if (server) server->set_epoch(epoch);
-      }
-      last_epoch = int(epoch);
-    }
+    sink.begin(s, std::uint32_t(st.epoch_of(s)));
     img::Image frame(cfg.width, cfg.height);
     auto view = parse_frame_msg(msg, frame.pixels().size());
     if (!view) throw std::runtime_error("pipeline: bad frame message");
@@ -1288,41 +1195,22 @@ void run_output(Shared& sh, const Setup& st, vmpi::Comm& world) {
       }
       if (!last_gray.empty()) {
         img::Image ground = render_ground_overlay(
-            st.camera(s), st.mesh->domain(), last_gray, cfg.lic_resolution,
-            cfg.lic_resolution);
+            st.views.camera(s), st.mesh->domain(), last_gray,
+            cfg.lic_resolution, cfg.lic_resolution);
         ground.composite_over(frame);  // volume image in front of LIC plane
         frame = std::move(ground);
       }
     }
-    frame_seconds.push_back(clock.seconds());
-
-    if (!cfg.output_dir.empty() || session || server) {
-      // One tone-mapping for every sink: the streamed frame is bit-identical
-      // to the PPM the output processor writes (the delivery determinism
-      // tests pin this with SHA-256).
-      img::Image8 out8 = img::to_8bit(frame, {0.02f, 0.02f, 0.05f});
-      if (!cfg.output_dir.empty()) {
-        char name[64];
-        std::snprintf(name, sizeof(name), "/frame_%04d.ppm", s);
-        img::write_ppm(cfg.output_dir + name, out8);
-      }
-      if (session) session->submit(clock.seconds(), s, out8);
-      if (server) server->submit(clock.seconds(), s, out8);
-    }
-    if (obs::lineage::enabled()) {
-      obs::lineage::record_wall(
-          obs::lineage::Stage::kFrame, s, epoch,
-          obs::lineage::ChannelKind::kRank, world.rank(),
-          double(trace::now_since_epoch_ns() - frame_t0) * 1e-9);
-    }
-    if (sh.frames_out) sh.frames_out->push_back(std::move(frame));
+    sink.emit(std::move(frame));
   }
   pipe_counters().degraded_frames.add(degraded_steps.size());
+  OutputSink::Report out = sink.finish();
   std::lock_guard lk(sh.mu);
-  sh.report.frame_seconds = std::move(frame_seconds);
+  sh.report.frame_seconds = std::move(out.frame_seconds);
+  sh.report.avg_interframe = out.avg_interframe;
   sh.report.degraded_steps = std::move(degraded_steps);
-  if (session) sh.report.stream = session->finish();
-  if (server) sh.report.server = server->finish();
+  sh.report.stream = std::move(out.stream);
+  sh.report.server = std::move(out.server);
 }
 
 }  // namespace
@@ -1350,16 +1238,10 @@ PipelineReport run_pipeline(const PipelineConfig& config_in,
         "pipeline: dynamic load redistribution requires the 1DIP strategy");
   if (config.render_procs < 1 || config.input_procs < 1 || config.groups < 1)
     throw std::runtime_error("pipeline: bad processor counts");
-  if (config.steer.enabled) {
-    if (config.rebalance_every > 0)
-      throw std::runtime_error(
-          "pipeline: steering and dynamic load redistribution both own the "
-          "view-epoch field; enable one or the other");
-    if (config.serve.cache_bytes > 0)
-      throw std::runtime_error(
-          "pipeline: steering edits change pixels outside the frame-cache "
-          "identity (camera/TF move mid-run); disable --cache-bytes");
-  }
+  if (config.steer.enabled && config.rebalance_every > 0)
+    throw std::runtime_error(
+        "pipeline: steering and dynamic load redistribution both own the "
+        "view-epoch field; enable one or the other");
   if (config.fault_plan && config.fault_plan->kill_rank >= 0) {
     // A rank death is only survivable when the victim's peers never enter a
     // collective with it — exactly the 1DIP input side (mirroring what a
@@ -1488,7 +1370,6 @@ PipelineReport run_pipeline(const PipelineConfig& config_in,
   rep.resend_requests = pc.resends.value() - base_resends;
   rep.dropped_steps = int(pc.dropped_steps.value() - base_dropped);
   rep.degraded_frames = int(pc.degraded_frames.value() - base_degraded);
-  rep.avg_interframe = steady_interframe(rep.frame_seconds);
   return rep;
 }
 

@@ -13,8 +13,9 @@
 //           rendering the current one, raycast owned blocks, composite
 //           (SLIC or direct-send) across the render communicator, and send
 //           the finished frame to the output processor.
-//   output: composite the optional LIC ground layer under the volume image,
-//           record interframe delay, optionally write PPM frames.
+//   output: composite the optional LIC ground layer under the volume image
+//           and hand the frame to core::OutputSink (interframe delay, PPM
+//           frames, remote delivery; shared with run_insitu).
 //
 // The block decomposition, workload estimation, and block->renderer
 // assignment are computed identically on every rank from the dataset's

@@ -14,6 +14,10 @@ WanLinkConfig WanLink::validated(WanLinkConfig cfg) {
         "WanLink: bandwidth_bytes_per_s must be finite and > 0, got " +
         std::to_string(cfg.bandwidth_bytes_per_s));
   }
+  // The link clock follows its caller's clock (wall time for the pipeline
+  // drivers); give pre-scheduled outage windows a horizon no run outlives.
+  if (cfg.fault.active() && cfg.fault.horizon_seconds <= 0.0)
+    cfg.fault.horizon_seconds = 3600.0;
   return cfg;
 }
 

@@ -28,7 +28,8 @@ namespace qv::stream {
 struct WanLinkConfig {
   double bandwidth_bytes_per_s = 8e6;  // ~64 Mbit/s; must be finite and > 0
   double latency_s = 0.02;             // one-way propagation delay
-  sim::BandwidthFaultConfig fault;     // seeded outage windows (optional)
+  sim::BandwidthFaultConfig fault;     // seeded outage windows (optional);
+                                       // horizon 0 means 3600 s
 };
 
 // A frame that has finished crossing the link.

@@ -95,13 +95,8 @@ ReplayReport run_replay(const ReplayConfig& cfg) {
 
   std::vector<std::unique_ptr<WanLink>> links;
   links.reserve(std::size_t(cfg.clients));
-  for (int i = 0; i < cfg.clients; ++i) {
-    WanLinkConfig lc;
-    lc.bandwidth_bytes_per_s = cfg.link.bandwidth_bytes_per_s;
-    lc.latency_s = cfg.link.latency_s;
-    lc.fault = cfg.link.fault;
-    links.push_back(std::make_unique<WanLink>(lc));
-  }
+  for (int i = 0; i < cfg.clients; ++i)
+    links.push_back(std::make_unique<WanLink>(cfg.link));
 
   const std::vector<double> cdf = zipf_cdf(cfg.steps, cfg.zipf_s);
   // Digest recorded at miss time, for byte-verifying later hits.

@@ -121,18 +121,6 @@ struct ServerMetrics {
   }
 };
 
-WanLinkConfig make_link_config(const ClientLinkConfig& cfg) {
-  WanLinkConfig lc;
-  lc.bandwidth_bytes_per_s = cfg.bandwidth_bytes_per_s;
-  lc.latency_s = cfg.latency_s;
-  lc.fault = cfg.fault;
-  // The link clock follows the caller's clock; give pre-scheduled outage
-  // windows a horizon no real run outlives (same policy as StreamSession).
-  if (lc.fault.active() && lc.fault.horizon_seconds <= 0.0)
-    lc.fault.horizon_seconds = 3600.0;
-  return lc;
-}
-
 }  // namespace
 
 // --- reports ----------------------------------------------------------------
@@ -187,7 +175,7 @@ int DeliveryServer::join(double now, const ClientLinkConfig& link) {
   auto c = std::make_unique<Client>();
   c->rep.id = id;
   c->rep.connected = true;
-  c->link = std::make_unique<WanLink>(make_link_config(link));
+  c->link = std::make_unique<WanLink>(link);
   c->controller = DegradationController(cfg_.controller);
   c->connected = true;
   c->last_progress = now;
@@ -205,7 +193,7 @@ void DeliveryServer::reconnect(double now, int id,
   Client& c = *clients_.at(std::size_t(id));
   if (c.connected)
     throw std::logic_error("DeliveryServer: reconnect of a connected client");
-  c.link = std::make_unique<WanLink>(make_link_config(link));
+  c.link = std::make_unique<WanLink>(link);
   c.controller = DegradationController(cfg_.controller);
   // The client lost its state with the connection: fresh decoder, and the
   // first frame it gets MUST be a keyframe.

@@ -75,11 +75,7 @@ bool is_control_wire(std::span<const std::uint8_t> wire);
 // --- configuration ----------------------------------------------------------
 
 // One simulated viewer's connection characteristics.
-struct ClientLinkConfig {
-  double bandwidth_bytes_per_s = 8e6;
-  double latency_s = 0.02;
-  sim::BandwidthFaultConfig fault;  // seeded outage windows (optional)
-};
+using ClientLinkConfig = WanLinkConfig;
 
 // Test/harness hook: every frame a verified client successfully decodes, in
 // delivery order, with the client id attached — the stale/fresh property
@@ -268,9 +264,6 @@ struct ServeFleetConfig {
   double bandwidth_lo = 0.0;
   double latency_s = 0.02;
   std::uint64_t outage_seed = 0;
-  // > 0 installs a content-addressed keyframe cache of this byte budget on
-  // the server (the --cache-bytes flag); the pipeline fills in identity.
-  std::size_t cache_bytes = 0;
   ServerConfig server;
 };
 

@@ -44,24 +44,12 @@ struct StreamMetrics {
   }
 };
 
-WanLinkConfig link_config(const StreamConfig& cfg) {
-  WanLinkConfig lc;
-  lc.bandwidth_bytes_per_s = cfg.bandwidth_bytes_per_s;
-  lc.latency_s = cfg.latency_s;
-  lc.fault = cfg.fault;
-  // The link clock follows the pipeline's wall clock; give pre-scheduled
-  // outage windows a horizon no real run outlives.
-  if (lc.fault.active() && lc.fault.horizon_seconds <= 0.0)
-    lc.fault.horizon_seconds = 3600.0;
-  return lc;
-}
-
 }  // namespace
 
 StreamSession::StreamSession(const StreamConfig& cfg, int width, int height)
     : cfg_(cfg),
       encoder_(width, height),
-      link_(link_config(cfg)),
+      link_({cfg.bandwidth_bytes_per_s, cfg.latency_s, cfg.fault}),
       controller_(cfg.controller) {}
 
 void StreamSession::set_epoch(std::uint32_t epoch) {

@@ -12,6 +12,8 @@
 #include "io/block_index.hpp"
 #include "render/raycast.hpp"
 #include "quake/synthetic.hpp"
+#include "util/sha256.hpp"
+#include "util/stats.hpp"
 
 namespace qv::core {
 namespace {
@@ -333,6 +335,76 @@ TEST(Insitu, BadConfigThrows) {
   cfg = small_insitu();
   cfg.snapshots = 0;
   EXPECT_THROW(run_insitu(cfg), std::runtime_error);
+}
+
+TEST(Insitu, AvgInterframeIsTheSteadyStateInterframe) {
+  // frame_seconds are cumulative completion times; the per-frame figure is
+  // the same second-half mean the pipeline reports.
+  auto report = run_insitu(small_insitu());
+  ASSERT_EQ(report.frame_seconds.size(), 3u);
+  EXPECT_EQ(report.avg_interframe, steady_interframe(report.frame_seconds));
+  EXPECT_GT(report.avg_interframe, 0.0);
+}
+
+TEST(Insitu, DeliveredFramesMatchWrittenPpmsBitExactly) {
+  // The in-situ output rank feeds the PPM writer, the stream session and
+  // the delivery server from one tone map: every frame a viewer decodes is
+  // the PPM written for its snapshot, byte for byte.
+  auto cfg = small_insitu();
+  const std::string out_dir =
+      (std::filesystem::temp_directory_path() /
+       ("qv_insitu_out." + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(out_dir);
+  std::filesystem::create_directories(out_dir);
+  stream::StreamCapture stream_capture;
+  stream::ServerCapture server_capture;
+  cfg.output_dir = out_dir;
+  cfg.stream.enabled = true;
+  cfg.stream.bandwidth_bytes_per_s = 1e8;
+  cfg.stream.capture = &stream_capture;
+  cfg.serve.enabled = true;
+  cfg.serve.count = 2;
+  cfg.serve.bandwidth_hi = 1e8;
+  cfg.serve.server.verify_clients = true;
+  cfg.serve.server.capture = &server_capture;
+  auto report = run_insitu(cfg);
+
+  auto ppm_sha = [&](int step) {
+    char name[64];
+    std::snprintf(name, sizeof(name), "/insitu_%04d.ppm", step);
+    img::Image8 im;
+    EXPECT_TRUE(img::read_ppm(out_dir + name, im)) << name;
+    return util::Sha256::hex(im.data(), im.byte_count());
+  };
+  std::vector<std::string> want;
+  for (int s = 0; s < cfg.snapshots; ++s) want.push_back(ppm_sha(s));
+  // The wave is moving, so later frames travel as real deltas.
+  EXPECT_NE(want.front(), want.back());
+
+  EXPECT_EQ(report.stream.frames_dropped, 0u);
+  EXPECT_EQ(report.stream.decode_failures, 0u);
+  ASSERT_EQ(stream_capture.frames.size(), std::size_t(cfg.snapshots));
+  for (const auto& f : stream_capture.frames) {
+    ASSERT_GE(f.step, 0);
+    ASSERT_LT(f.step, cfg.snapshots);
+    EXPECT_EQ(util::Sha256::hex(f.image.data(), f.image.byte_count()),
+              want[std::size_t(f.step)])
+        << "stream step " << f.step;
+  }
+
+  EXPECT_EQ(report.server.frames_dropped, 0u);
+  EXPECT_EQ(report.server.decode_failures, 0u);
+  ASSERT_EQ(report.server.clients.size(), 2u);
+  ASSERT_EQ(server_capture.frames.size(), std::size_t(2 * cfg.snapshots));
+  for (const auto& f : server_capture.frames) {
+    ASSERT_GE(f.step, 0);
+    ASSERT_LT(f.step, cfg.snapshots);
+    EXPECT_EQ(util::Sha256::hex(f.image.data(), f.image.byte_count()),
+              want[std::size_t(f.step)])
+        << "client " << f.client << " step " << f.step;
+  }
+  std::filesystem::remove_all(out_dir);
 }
 
 }  // namespace

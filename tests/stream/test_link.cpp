@@ -146,5 +146,20 @@ TEST(WanLink, InFlightTracksBacklog) {
   EXPECT_EQ(link.in_flight(), 0);
 }
 
+TEST(WanLink, ActiveFaultWithoutHorizonSchedulesOutages) {
+  // Every link owner (the stream session, the delivery server, replay)
+  // leaves the horizon at 0; the link itself picks one no run outlives.
+  WanLinkConfig cfg;
+  cfg.fault.enabled = true;
+  cfg.fault.seed = 7;
+  cfg.fault.mean_up_seconds = 10.0;
+  cfg.fault.mean_down_seconds = 1.0;
+  ASSERT_TRUE(cfg.fault.active());
+  ASSERT_EQ(cfg.fault.horizon_seconds, 0.0);
+  WanLink link(cfg);
+  EXPECT_FALSE(link.faults().outages().empty());
+  EXPECT_EQ(link.config().fault.horizon_seconds, 3600.0);
+}
+
 }  // namespace
 }  // namespace qv::stream

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Tier-1 verification, a trace-output smoke test, a stream-delivery smoke
-# test (streamed pipeline -> viewer decode -> byte-exact frame check), a
-# server churn-chaos stage run under two seeds, a cache-replay stage
-# (zipfian replay digests bit-identical across repeat runs, two seeds, plus
-# the strict CLI parsing contract), an SLO gate (serve + replay runs under
-# two seeds must produce passing e2e-latency verdicts and flight-recorder
-# dumps the validator accepts), a ThreadSanitizer pass over the
-# message-passing runtime and the parallel renderer, an AddressSanitizer +
-# UndefinedBehaviorSanitizer pass over the full test suite, a
-# determinism/fuzz stage run under two seeds, and the benchmark gate.
+# test (streamed pipeline and in-situ runs -> viewer decode -> byte-exact
+# frame check), a server churn-chaos stage run under two seeds, a
+# cache-replay stage (zipfian replay digests bit-identical across repeat
+# runs, two seeds, plus the strict CLI parsing contract), an SLO gate
+# (serve + replay runs under two seeds must produce passing e2e-latency
+# verdicts and flight-recorder dumps the validator accepts), a
+# ThreadSanitizer pass over the message-passing runtime and the parallel
+# renderer, an AddressSanitizer + UndefinedBehaviorSanitizer pass over the
+# full test suite, a determinism/fuzz stage run under two seeds, and the
+# benchmark gate.
 # Usage: tools/ci.sh [--tier1-only|--trace-only|--stream-only|
 #                     --server-chaos-only|--cache-replay-only|slo-gate|
 #                     --steer-smoke-only|--tsan-only|--asan-only|
@@ -109,6 +110,24 @@ EOF
   else
     echo "stream smoke: python3 unavailable, skipped run-report validation"
   fi
+  # The in-situ driver shares the pipeline's output rank: its streamed
+  # frames must match the insitu_NNNN.ppm it wrote, byte for byte.
+  ./build/tools/quakeviz insitu --snapshots=3 --width=96 --height=72 \
+      --out="$work/insitu" --stream --stream-bandwidth=100000000 \
+      --stream-record="$work/insitu_rec.bin"
+  ./build/tools/quakeviz view --in="$work/insitu_rec.bin" \
+      --out="$work/insitu_viewed"
+  local n=0
+  for f in "$work"/insitu/insitu_*.ppm; do
+    cmp "$f" "$work/insitu_viewed/frame_${f##*_}" \
+        || { echo "stream smoke: in-situ viewer frame differs: $f" >&2
+             return 1; }
+    n=$((n + 1))
+  done
+  [ "$n" -eq 3 ] \
+      || { echo "stream smoke: expected 3 in-situ frames, got $n" >&2
+           return 1; }
+  echo "stream smoke: all $n in-situ frames byte-identical"
 }
 
 server_chaos() {

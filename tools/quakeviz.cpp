@@ -40,11 +40,15 @@
 //       Prometheus-style text dump after the run.
 //
 //   quakeviz insitu --out=DIR [--snapshots=N] [--renderers=R]
-//            [--render-threads=T] [--trace=FILE.json] [--metrics-json=FILE.json]
+//            [--render-threads=T] [--width=W] [--height=H] [--vmax=X]
+//            [--orbit=DEG] [--trace=FILE.json] [--metrics-json=FILE.json]
 //            [--metrics-prom=FILE.txt]
 //       Simulation-time visualization: solver + renderer concurrently.
+//       Frames are written as insitu_NNNN.ppm; the run report tracks the
+//       steady-state interframe_s like pipeline's.
 //
-//   Both pipeline and insitu also accept the remote frame-delivery flags:
+//   pipeline and insitu share one output rank (core::OutputSink), so both
+//   also accept the remote frame-delivery flags:
 //            [--stream] [--stream-bandwidth=BYTES_PER_S]
 //            [--stream-latency-ms=MS] [--stream-queue=N]
 //            [--stream-record=FILE] [--stream-fault-seed=S]
@@ -61,14 +65,12 @@
 //            [--serve-clients=N] [--serve-bandwidth-hi=BYTES_PER_S]
 //            [--serve-bandwidth-lo=BYTES_PER_S] [--serve-latency-ms=MS]
 //            [--serve-outage-seed=S] [--serve-budget=BYTES]
-//            [--serve-evict-timeout=S] [--cache-bytes=BYTES]
+//            [--serve-evict-timeout=S]
 //       Any --serve-* flag attaches a DeliveryServer to the output
 //       processor: every finished frame is encoded once per needed tier
 //       and fanned out to N simulated clients with log-spread bandwidths
 //       (and, with an outage seed, flapping links), per-client byte
-//       budgets, and eviction of dead connections. --cache-bytes > 0 adds
-//       a content-addressed keyframe cache (LRU over the byte budget)
-//       keyed on (dataset, step, camera, transfer function, tier).
+//       budgets, and eviction of dead connections.
 //
 //   Both also accept the interactive-steering flags:
 //            [--steer] [--steer-seed=S] [--steer-edits=N]
@@ -79,7 +81,7 @@
 //       applied edit bumps the view epoch stamped into frame headers (the
 //       epoch echoes the newest applied request id) and resets every
 //       client's delta chain, so the first post-edit frame each viewer
-//       sees is a keyframe. Exclusive with --rebalance and --cache-bytes.
+//       sees is a keyframe. Exclusive with pipeline's --rebalance.
 //
 //   pipeline, insitu, serve, and replay also accept the observability flags:
 //            [--lineage=FILE.json] [--slo-p95=S] [--slo-drop=R]
@@ -152,6 +154,7 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <span>
 #include <memory>
 #include <string>
 #include <vector>
@@ -226,18 +229,19 @@ class Args {
   bool flag(const std::string& key) const { return kv_.count(key) > 0; }
   // A typo like --metrics-jsn must not silently no-op: every command
   // declares its flags and anything else is a hard error.
-  void allow_only(const char* cmd,
-                  std::initializer_list<const char*> known) const {
+  // `shared` holds flags several commands accept (see driver_flags()).
+  void allow_only(const char* cmd, std::initializer_list<const char*> known,
+                  std::span<const char* const> shared = {}) const {
     for (const auto& [key, value] : kv_) {
-      bool ok = false;
-      for (const char* k : known) {
-        if (key == k) { ok = true; break; }
-      }
-      if (ok) continue;
+      auto is_key = [&key](const char* k) { return key == k; };
+      if (std::any_of(known.begin(), known.end(), is_key) ||
+          std::any_of(shared.begin(), shared.end(), is_key))
+        continue;
       std::fprintf(stderr, "unknown option --%s for 'quakeviz %s'\n",
                    key.c_str(), cmd);
       std::fprintf(stderr, "known options:");
       for (const char* k : known) std::fprintf(stderr, " --%s", k);
+      for (const char* k : shared) std::fprintf(stderr, " --%s", k);
       std::fprintf(stderr, "\n");
       std::exit(2);
     }
@@ -331,7 +335,7 @@ void track_stream_report(metrics::RunReport& rr,
 constexpr const char* kServeFlags[] = {
     "serve-clients",     "serve-bandwidth-hi", "serve-bandwidth-lo",
     "serve-latency-ms",  "serve-outage-seed",  "serve-budget",
-    "serve-evict-timeout", "cache-bytes"};
+    "serve-evict-timeout"};
 
 void parse_serve_flags(const Args& args, stream::ServeFleetConfig& cfg) {
   for (const char* f : kServeFlags)
@@ -352,13 +356,6 @@ void parse_serve_flags(const Args& args, stream::ServeFleetConfig& cfg) {
   cfg.server.queue_budget_bytes =
       std::size_t(args.real("serve-budget", double(1u << 20)));
   cfg.server.evict_timeout_s = args.real("serve-evict-timeout", 10.0);
-  const double cache_bytes = args.real("cache-bytes", 0.0);
-  if (cache_bytes < 0.0) {
-    std::fprintf(stderr, "invalid value for --cache-bytes: %g (must be >= 0)\n",
-                 cache_bytes);
-    std::exit(2);
-  }
-  cfg.cache_bytes = std::size_t(cache_bytes);
 }
 
 // Interactive steering flags shared by `pipeline` and `insitu` (and, with a
@@ -390,10 +387,6 @@ void print_server_report(const stream::ServerReport& sr) {
       static_cast<unsigned long long>(sr.encode_reuses),
       static_cast<unsigned long long>(sr.evictions),
       static_cast<unsigned long long>(sr.reconnects));
-  if (sr.cache_hits + sr.cache_misses > 0)
-    std::printf("serve: frame cache %llu hits / %llu misses\n",
-                static_cast<unsigned long long>(sr.cache_hits),
-                static_cast<unsigned long long>(sr.cache_misses));
   if (sr.decode_failures > 0)
     std::printf("serve: %llu DECODE FAILURES\n",
                 static_cast<unsigned long long>(sr.decode_failures));
@@ -410,8 +403,6 @@ void track_server_report(metrics::RunReport& rr,
   rr.track("server_evictions", double(sr.evictions), "evictions");
   rr.track("server_peak_client_queue_bytes",
            double(sr.peak_client_queue_bytes), "bytes");
-  rr.track("server_cache_hits", double(sr.cache_hits), "frames");
-  rr.track("server_cache_misses", double(sr.cache_misses), "frames");
 }
 
 // --- frame lineage + SLO flags ---------------------------------------------
@@ -443,6 +434,23 @@ int finish_lineage(const std::string& path) {
   return 0;
 }
 
+// Snapshot the registry into `rr`, switch it off, and write the requested
+// report files. Returns the exit code (1 on a write failure).
+int write_run_report(metrics::RunReport& rr, const std::string& json,
+                     const std::string& prom = "") {
+  rr.snapshot = metrics::collect();
+  metrics::disable();
+  if (!json.empty()) {
+    if (!metrics::write_json_file(json, rr)) return 1;
+    std::printf("metrics: run report -> %s\n", json.c_str());
+  }
+  if (!prom.empty()) {
+    if (!metrics::write_prometheus_file(prom, rr.snapshot)) return 1;
+    std::printf("metrics: prometheus dump -> %s\n", prom.c_str());
+  }
+  return 0;
+}
+
 // Exact order statistic, same convention as ClientReport::p95_latency_s.
 double pooled_percentile(std::vector<double> v, std::size_t p) {
   if (v.empty()) return 0.0;
@@ -471,8 +479,9 @@ SloRequest parse_slo_flags(const Args& args, const std::string& metrics_json) {
   return s;
 }
 
-metrics::SloBlock judge_slo(const SloRequest& req, double observed_p95,
-                            double observed_drop) {
+// Record the SLO verdict in the run report and print it.
+void judge_slo(metrics::RunReport& rr, const SloRequest& req,
+               double observed_p95, double observed_drop) {
   metrics::SloBlock b;
   b.target_p95_s = req.target_p95_s;
   b.max_drop_rate = req.max_drop_rate;
@@ -480,14 +489,11 @@ metrics::SloBlock judge_slo(const SloRequest& req, double observed_p95,
   b.observed_drop_rate = observed_drop;
   b.pass = observed_p95 <= req.target_p95_s &&
            observed_drop <= req.max_drop_rate;
-  return b;
-}
-
-void print_slo(const metrics::SloBlock& b) {
   std::printf(
       "slo: p95 %.4f s (target %.4f s) | drop rate %.4f (max %.4f) -> %s\n",
       b.observed_p95_s, b.target_p95_s, b.observed_drop_rate, b.max_drop_rate,
       b.pass ? "PASS" : "FAIL");
+  rr.slo = b;
 }
 
 void fill_e2e_from_server(metrics::RunReport& rr,
@@ -516,27 +522,6 @@ std::vector<double> server_latencies(const stream::ServerReport& sr) {
 double server_drop_rate(const stream::ServerReport& sr) {
   const double total = double(sr.frames_sent + sr.frames_dropped);
   return total > 0.0 ? double(sr.frames_dropped) / total : 0.0;
-}
-
-// SLO inputs for pipeline/insitu: the serve fleet when attached, else the
-// single stream session.
-void apply_run_slo(metrics::RunReport& rr, const SloRequest& slo,
-                   bool serve_enabled, const stream::ServerReport& server,
-                   bool stream_enabled, const stream::StreamReport& stream) {
-  if (!slo.requested) return;
-  std::vector<double> lat;
-  double drop = 0.0;
-  if (serve_enabled) {
-    lat = server_latencies(server);
-    drop = server_drop_rate(server);
-  } else if (stream_enabled) {
-    lat = stream.delivery_latencies_s;
-    const double total =
-        double(stream.frames_delivered + stream.frames_dropped);
-    drop = total > 0.0 ? double(stream.frames_dropped) / total : 0.0;
-  }
-  rr.slo = judge_slo(slo, pooled_percentile(std::move(lat), 95), drop);
-  print_slo(*rr.slo);
 }
 
 quake::LayeredBasin default_basin(const Box3& domain) {
@@ -658,6 +643,113 @@ int cmd_render(const Args& args) {
   return 0;
 }
 
+// --- pipeline / insitu ------------------------------------------------------
+// The two batch drivers share their output rank (core::OutputSink), so they
+// share its flags and the end-of-run reporting as well.
+
+// The delivery, steering and observability flags of `pipeline` and
+// `insitu`, on top of each command's own.
+std::vector<const char*> driver_flags() {
+  std::vector<const char*> f = {"trace",   "metrics-json", "metrics-prom",
+                                "lineage", "slo-p95",      "slo-drop"};
+  f.insert(f.end(), std::begin(kStreamFlags), std::end(kStreamFlags));
+  f.insert(f.end(), std::begin(kServeFlags), std::end(kServeFlags));
+  f.insert(f.end(), std::begin(kSteerFlags), std::end(kSteerFlags));
+  return f;
+}
+
+struct DriverRun {
+  std::string trace_path, metrics_json, metrics_prom, lineage_path;
+  SloRequest slo;
+
+  // Parses the shared flags; delivery and steering land in `cfg`.
+  template <typename Config>
+  DriverRun(const Args& args, Config& cfg)
+      : trace_path(args.str("trace", "")),
+        metrics_json(args.str("metrics-json", "")),
+        metrics_prom(args.str("metrics-prom", "")),
+        lineage_path(args.str("lineage", "")),
+        slo(parse_slo_flags(args, metrics_json)) {
+    parse_stream_flags(args, cfg.stream);
+    parse_serve_flags(args, cfg.serve);
+    parse_steer_flags(args, cfg.steer);
+  }
+
+  bool want_metrics() const {
+    return !metrics_json.empty() || !metrics_prom.empty();
+  }
+
+  // Switch the requested recorders on, right before the run.
+  void arm() const {
+    if (!trace_path.empty()) trace::enable();
+    if (want_metrics()) metrics::enable();
+    arm_lineage(lineage_path);
+  }
+
+  // After the run: the trace file (plus, with `overlap`, the occupancy and
+  // overlap summary), the run report — `rr` already holds the driver's own
+  // tracked metrics; the delivery metrics and the SLO verdict (the serve
+  // fleet when attached, else the stream session) join them here — and the
+  // lineage dump. Returns the exit code.
+  template <typename Config, typename Report>
+  int finish(metrics::RunReport& rr, const Config& cfg, const Report& report,
+             bool overlap) const {
+    if (!trace_path.empty()) {
+      trace::disable();
+      auto traces = trace::collect();
+      // Lineage rides along as async waterfall events: every frame id
+      // becomes a "b"/"n"/"e" group next to the spans that produced it.
+      if (!trace::write_chrome_json(trace_path, traces,
+                                    obs::lineage::chrome_fragment())) {
+        std::fprintf(stderr, "cannot write trace %s\n", trace_path.c_str());
+        return 1;
+      }
+      std::printf("trace: %zu ranks -> %s\n", traces.size(),
+                  trace_path.c_str());
+      if (overlap) {
+        std::printf("%s\n", trace::format_overlap(
+                                trace::analyze_overlap(traces)).c_str());
+        auto whole = trace::rank_activity(traces);
+        auto steady = trace::rank_activity(traces, {.steady_only = true});
+        for (std::size_t i = 0; i < whole.size(); ++i) {
+          std::printf("  %-10s occupancy %5.1f%% (steady %5.1f%%)\n",
+                      whole[i].name.c_str(), 100.0 * whole[i].occupancy,
+                      i < steady.size() ? 100.0 * steady[i].occupancy : 0.0);
+        }
+      }
+    }
+    if (want_metrics()) {
+      if (cfg.stream.enabled) track_stream_report(rr, report.stream);
+      if (cfg.serve.enabled) {
+        track_server_report(rr, report.server);
+        fill_e2e_from_server(rr, report.server);
+      }
+      if (slo.requested) {
+        std::vector<double> lat;
+        double drop = 0.0;
+        if (cfg.serve.enabled) {
+          lat = server_latencies(report.server);
+          drop = server_drop_rate(report.server);
+        } else if (cfg.stream.enabled) {
+          const auto& sr = report.stream;
+          lat = sr.delivery_latencies_s;
+          const double total = double(sr.frames_delivered + sr.frames_dropped);
+          drop = total > 0.0 ? double(sr.frames_dropped) / total : 0.0;
+        }
+        judge_slo(rr, slo, pooled_percentile(std::move(lat), 95), drop);
+      }
+      if (write_run_report(rr, metrics_json, metrics_prom) != 0) return 1;
+    }
+    return finish_lineage(lineage_path);
+  }
+};
+
+template <typename Config, typename Report>
+void print_delivery(const Config& cfg, const Report& report) {
+  if (cfg.stream.enabled) print_stream_report(report.stream);
+  if (cfg.serve.enabled) print_server_report(report.server);
+}
+
 int cmd_pipeline(const Args& args) {
   args.allow_only(
       "pipeline",
@@ -665,18 +757,11 @@ int cmd_pipeline(const Args& args) {
        "render-threads", "width",
        "height", "steps", "level", "lic", "enhance", "lighting", "variable",
        "vmax", "orbit", "rebalance", "compress", "compress-blocks", "tf",
-       "compositor", "composite-k", "recv-timeout-ms", "trace", "metrics-json",
-       "metrics-prom", "fault-seed", "fault-read-rate",
+       "compositor", "composite-k", "recv-timeout-ms", "fault-seed",
+       "fault-read-rate",
        "fault-short-read-rate", "fault-corrupt-rate", "fault-lose",
-       "fault-read-delay-ms", "fault-kill-rank", "fault-kill-step",
-       "stream", "stream-bandwidth", "stream-latency-ms", "stream-queue",
-       "stream-record", "stream-fault-seed", "stream-fault-up",
-       "stream-fault-down", "stream-fault-factor",
-       "serve-clients", "serve-bandwidth-hi", "serve-bandwidth-lo",
-       "serve-latency-ms", "serve-outage-seed", "serve-budget",
-       "serve-evict-timeout", "cache-bytes", "steer", "steer-seed",
-       "steer-edits", "steer-trace", "lineage", "slo-p95",
-       "slo-drop"});
+       "fault-read-delay-ms", "fault-kill-rank", "fault-kill-step"},
+      driver_flags());
   core::PipelineConfig cfg;
   cfg.output_dir = args.str("out", "");
   if (!cfg.output_dir.empty())
@@ -728,9 +813,7 @@ int cmd_pipeline(const Args& args) {
     return 2;
   }
 
-  parse_stream_flags(args, cfg.stream);
-  parse_serve_flags(args, cfg.serve);
-  parse_steer_flags(args, cfg.steer);
+  DriverRun run(args, cfg);
 
   // Fault injection: any --fault-* option installs a seeded plan.
   cfg.recv_timeout_ms = args.num("recv-timeout-ms", 0);
@@ -758,77 +841,27 @@ int cmd_pipeline(const Args& args) {
     fault().kill_at_step = args.num("fault-kill-step", 0);
   }
 
-  const std::string trace_path = args.str("trace", "");
-  const std::string metrics_json = args.str("metrics-json", "");
-  const std::string metrics_prom = args.str("metrics-prom", "");
-  const std::string lineage_path = args.str("lineage", "");
-  const SloRequest slo = parse_slo_flags(args, metrics_json);
-  const bool want_metrics = !metrics_json.empty() || !metrics_prom.empty();
   // Required flags are checked last so a malformed value (e.g.
   // --render-threads=abc) is diagnosed even when --dataset is absent.
   cfg.dataset_dir = args.require("dataset");
-  if (!trace_path.empty()) trace::enable();
-  if (want_metrics) metrics::enable();
-  arm_lineage(lineage_path);
+  run.arm();
 
   auto report = core::run_pipeline(cfg);
 
-  if (!trace_path.empty()) {
-    trace::disable();
-    auto traces = trace::collect();
-    // Lineage rides along as async waterfall events: every frame id becomes
-    // a "b"/"n"/"e" group next to the spans that produced it.
-    if (!trace::write_chrome_json(trace_path, traces,
-                                  obs::lineage::chrome_fragment())) {
-      std::fprintf(stderr, "cannot write trace %s\n", trace_path.c_str());
-      return 1;
-    }
-    std::printf("trace: %zu ranks -> %s\n", traces.size(), trace_path.c_str());
-    std::printf("%s\n", trace::format_overlap(
-                            trace::analyze_overlap(traces)).c_str());
-    auto whole = trace::rank_activity(traces);
-    auto steady = trace::rank_activity(traces, {.steady_only = true});
-    for (std::size_t i = 0; i < whole.size(); ++i) {
-      std::printf("  %-10s occupancy %5.1f%% (steady %5.1f%%)\n",
-                  whole[i].name.c_str(), 100.0 * whole[i].occupancy,
-                  i < steady.size() ? 100.0 * steady[i].occupancy : 0.0);
-    }
-  }
-  if (want_metrics) {
-    metrics::RunReport rr;
-    rr.kind = "pipeline";
-    rr.track("interframe_s", report.avg_interframe, "s");
-    rr.track("fetch_s", report.avg_fetch, "s");
-    rr.track("preprocess_s", report.avg_preprocess, "s");
-    rr.track("send_s", report.avg_send, "s");
-    rr.track("render_s", report.avg_render, "s");
-    rr.track("composite_s", report.avg_composite, "s");
-    rr.track("composite_bytes", double(report.composite_bytes), "bytes");
-    rr.track("block_bytes_sent", double(report.block_bytes_sent), "bytes");
-    if (cfg.stream.enabled) track_stream_report(rr, report.stream);
-    if (cfg.serve.enabled) {
-      track_server_report(rr, report.server);
-      fill_e2e_from_server(rr, report.server);
-    }
-    apply_run_slo(rr, slo, cfg.serve.enabled, report.server,
-                  cfg.stream.enabled, report.stream);
-    rr.snapshot = metrics::collect();
-    metrics::disable();
-    if (!metrics_json.empty() && !metrics::write_json_file(metrics_json, rr))
-      return 1;
-    if (!metrics_prom.empty() &&
-        !metrics::write_prometheus_file(metrics_prom, rr.snapshot))
-      return 1;
-    if (!metrics_json.empty())
-      std::printf("metrics: run report -> %s\n", metrics_json.c_str());
-    if (!metrics_prom.empty())
-      std::printf("metrics: prometheus dump -> %s\n", metrics_prom.c_str());
-  }
-  if (finish_lineage(lineage_path) != 0) return 1;
+  metrics::RunReport rr;
+  rr.kind = "pipeline";
+  rr.track("interframe_s", report.avg_interframe, "s");
+  rr.track("fetch_s", report.avg_fetch, "s");
+  rr.track("preprocess_s", report.avg_preprocess, "s");
+  rr.track("send_s", report.avg_send, "s");
+  rr.track("render_s", report.avg_render, "s");
+  rr.track("composite_s", report.avg_composite, "s");
+  rr.track("composite_bytes", double(report.composite_bytes), "bytes");
+  rr.track("block_bytes_sent", double(report.block_bytes_sent), "bytes");
+  if (run.finish(rr, cfg, report, /*overlap=*/true) != 0) return 1;
   std::printf("frames: %d  interframe %.4f s\n", report.steps,
               report.avg_interframe);
-  if (cfg.stream.enabled) print_stream_report(report.stream);
-  if (cfg.serve.enabled) print_server_report(report.server);
+  print_delivery(cfg, report);
   std::printf("per step: fetch %.4f s | preprocess %.4f s | send %.4f s | "
               "render %.4f s | composite %.4f s (%s, %.2f MB exchanged)\n",
               report.avg_fetch, report.avg_preprocess, report.avg_send,
@@ -856,17 +889,8 @@ int cmd_pipeline(const Args& args) {
 int cmd_insitu(const Args& args) {
   args.allow_only("insitu",
                   {"out", "snapshots", "renderers", "render-threads", "width",
-                   "height", "vmax",
-                   "orbit", "trace", "metrics-json", "metrics-prom",
-                   "stream", "stream-bandwidth", "stream-latency-ms",
-                   "stream-queue", "stream-record", "stream-fault-seed",
-                   "stream-fault-up", "stream-fault-down",
-                   "stream-fault-factor",
-                   "serve-clients", "serve-bandwidth-hi", "serve-bandwidth-lo",
-                   "serve-latency-ms", "serve-outage-seed", "serve-budget",
-                   "serve-evict-timeout", "cache-bytes", "steer", "steer-seed",
-                   "steer-edits", "steer-trace", "lineage", "slo-p95",
-                   "slo-drop"});
+                   "height", "vmax", "orbit"},
+                  driver_flags());
   core::InsituConfig cfg;
   cfg.basin = default_basin(cfg.domain);
   cfg.source.position = {1000, 1000, 1400};
@@ -883,61 +907,20 @@ int cmd_insitu(const Args& args) {
   cfg.output_dir = args.str("out", "");
   if (!cfg.output_dir.empty())
     std::filesystem::create_directories(cfg.output_dir);
-  parse_stream_flags(args, cfg.stream);
-  parse_serve_flags(args, cfg.serve);
-  parse_steer_flags(args, cfg.steer);
-  const std::string trace_path = args.str("trace", "");
-  const std::string metrics_json = args.str("metrics-json", "");
-  const std::string metrics_prom = args.str("metrics-prom", "");
-  const std::string lineage_path = args.str("lineage", "");
-  const SloRequest slo = parse_slo_flags(args, metrics_json);
-  const bool want_metrics = !metrics_json.empty() || !metrics_prom.empty();
-  if (!trace_path.empty()) trace::enable();
-  if (want_metrics) metrics::enable();
-  arm_lineage(lineage_path);
+  DriverRun run(args, cfg);
+  run.arm();
+
   auto report = core::run_insitu(cfg);
-  if (!trace_path.empty()) {
-    trace::disable();
-    auto traces = trace::collect();
-    if (!trace::write_chrome_json(trace_path, traces,
-                                  obs::lineage::chrome_fragment())) {
-      std::fprintf(stderr, "cannot write trace %s\n", trace_path.c_str());
-      return 1;
-    }
-    std::printf("trace: %zu ranks -> %s\n", traces.size(), trace_path.c_str());
-  }
-  if (want_metrics) {
-    metrics::RunReport rr;
-    rr.kind = "insitu";
-    double frame_total = 0.0;
-    for (double s : report.frame_seconds) frame_total += s;
-    rr.track("sim_s", report.sim_seconds, "s");
-    rr.track("frame_s",
-             report.snapshots > 0 ? frame_total / report.snapshots : 0.0, "s");
-    if (cfg.stream.enabled) track_stream_report(rr, report.stream);
-    if (cfg.serve.enabled) {
-      track_server_report(rr, report.server);
-      fill_e2e_from_server(rr, report.server);
-    }
-    apply_run_slo(rr, slo, cfg.serve.enabled, report.server,
-                  cfg.stream.enabled, report.stream);
-    rr.snapshot = metrics::collect();
-    metrics::disable();
-    if (!metrics_json.empty() && !metrics::write_json_file(metrics_json, rr))
-      return 1;
-    if (!metrics_prom.empty() &&
-        !metrics::write_prometheus_file(metrics_prom, rr.snapshot))
-      return 1;
-    if (!metrics_json.empty())
-      std::printf("metrics: run report -> %s\n", metrics_json.c_str());
-    if (!metrics_prom.empty())
-      std::printf("metrics: prometheus dump -> %s\n", metrics_prom.c_str());
-  }
-  if (finish_lineage(lineage_path) != 0) return 1;
-  std::printf("simulated %.1f s in %.2f s; %d frames\n",
-              report.sim_time_reached, report.sim_seconds, report.snapshots);
-  if (cfg.stream.enabled) print_stream_report(report.stream);
-  if (cfg.serve.enabled) print_server_report(report.server);
+
+  metrics::RunReport rr;
+  rr.kind = "insitu";
+  rr.track("sim_s", report.sim_seconds, "s");
+  rr.track("interframe_s", report.avg_interframe, "s");
+  if (run.finish(rr, cfg, report, /*overlap=*/false) != 0) return 1;
+  std::printf("simulated %.1f s in %.2f s; %d frames, interframe %.4f s\n",
+              report.sim_time_reached, report.sim_seconds, report.snapshots,
+              report.avg_interframe);
+  print_delivery(cfg, report);
   return 0;
 }
 
@@ -999,10 +982,7 @@ int cmd_serve_steered(const Args& args) {
     rr.track("steer_wasted_render_ratio", wasted, "ratio");
     rr.track("steer_edit_to_fresh_p50_s", p50, "s");
     rr.track("steer_edit_to_fresh_p95_s", p95, "s");
-    rr.snapshot = metrics::collect();
-    metrics::disable();
-    if (!metrics::write_json_file(metrics_json, rr)) return 1;
-    std::printf("metrics: run report -> %s\n", metrics_json.c_str());
+    if (write_run_report(rr, metrics_json) != 0) return 1;
   }
   if (finish_lineage(lineage_path) != 0) return 1;
   print_server_report(rep.server);
@@ -1077,16 +1057,11 @@ int cmd_serve(const Args& args) {
     track_server_report(rr, result.report);
     rr.track("serve_fast_p95_s", result.fast_p95_s, "s");
     fill_e2e_from_server(rr, result.report);
-    if (slo.requested) {
-      rr.slo = judge_slo(slo,
-                         pooled_percentile(server_latencies(result.report), 95),
-                         server_drop_rate(result.report));
-      print_slo(*rr.slo);
-    }
-    rr.snapshot = metrics::collect();
-    metrics::disable();
-    if (!metrics::write_json_file(metrics_json, rr)) return 1;
-    std::printf("metrics: run report -> %s\n", metrics_json.c_str());
+    if (slo.requested)
+      judge_slo(rr, slo,
+                pooled_percentile(server_latencies(result.report), 95),
+                server_drop_rate(result.report));
+    if (write_run_report(rr, metrics_json) != 0) return 1;
   }
   if (finish_lineage(lineage_path) != 0) return 1;
   print_server_report(result.report);
@@ -1156,14 +1131,8 @@ int cmd_replay(const Args& args) {
       block.clients.push_back(s);
     }
     rr.e2e = std::move(block);
-    if (slo.requested) {
-      rr.slo = judge_slo(slo, rep.e2e_p95_s, 0.0);
-      print_slo(*rr.slo);
-    }
-    rr.snapshot = metrics::collect();
-    metrics::disable();
-    if (!metrics::write_json_file(metrics_json, rr)) return 1;
-    std::printf("metrics: run report -> %s\n", metrics_json.c_str());
+    if (slo.requested) judge_slo(rr, slo, rep.e2e_p95_s, 0.0);
+    if (write_run_report(rr, metrics_json) != 0) return 1;
   }
   if (finish_lineage(lineage_path) != 0) return 1;
   std::printf(
@@ -1248,10 +1217,7 @@ int cmd_view(const Args& args) {
     rr.track("view_frames", double(frames->size()), "frames");
     rr.track("view_decode_failures", double(failures), "frames");
     rr.track("view_decode_p95_s", pooled_percentile(decode_s, 95), "s");
-    rr.snapshot = metrics::collect();
-    metrics::disable();
-    if (!metrics::write_json_file(metrics_json, rr)) return 1;
-    std::printf("metrics: run report -> %s\n", metrics_json.c_str());
+    if (write_run_report(rr, metrics_json) != 0) return 1;
   }
   std::printf("viewed %zu frames, %d decode failures\n", frames->size(),
               failures);
