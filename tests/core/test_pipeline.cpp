@@ -11,6 +11,7 @@
 #include "core/serial.hpp"
 #include "metrics/metrics.hpp"
 #include "quake/synthetic.hpp"
+#include "util/sha256.hpp"
 #include "util/stats.hpp"
 
 namespace qv::core {
@@ -299,6 +300,41 @@ TEST_F(PipelineTest, LicOverlayAddsTheGroundLayer) {
   for (const auto& px : with_lic[1].pixels()) a_with += px.a;
   for (const auto& px : without[1].pixels()) a_without += px.a;
   EXPECT_GT(a_with, a_without * 1.2);
+}
+
+// SHA-256 pin of every frame of a small LIC-overlay run: the input rank's
+// resample and convolution and the output rank's overlay must keep every
+// float of every frame, for two and three renderers.
+constexpr const char* kLicFrames =
+    "41d60c4a562f09eb442af2f29f500016748c250cde32f9ce347589804cf1285e";
+
+std::string frames_sha(const std::vector<img::Image>& frames) {
+  util::Sha256 h;
+  for (const auto& f : frames)
+    h.update(f.pixels().data(), f.pixels().size_bytes());
+  std::string hex;
+  char b[3];
+  for (std::uint8_t byte : h.digest()) {
+    std::snprintf(b, sizeof(b), "%02x", byte);
+    hex += b;
+  }
+  return hex;
+}
+
+TEST_F(PipelineTest, LicOverlayFramesArePinned) {
+  auto cfg = base_config();
+  cfg.input_procs = 1;
+  cfg.lic_overlay = true;
+  cfg.lic_resolution = 64;
+  for (int renderers : {2, 3}) {
+    cfg.render_procs = renderers;
+    std::vector<img::Image> frames;
+    run_pipeline(cfg, &frames);
+    ASSERT_EQ(frames.size(), std::size_t(kSteps));
+    std::string got = frames_sha(frames);
+    EXPECT_EQ(got, kLicFrames)
+        << renderers << " renderers: LIC frames changed: " << got;
+  }
 }
 
 TEST_F(PipelineTest, LicRequiresOneDip) {
