@@ -100,6 +100,10 @@ void pack_piece(const Piece& piece, bool compress,
   std::memcpy(buf.data() + header_pos, &h, sizeof(h));
 }
 
+std::size_t packed_piece_bytes(std::size_t pixels) {
+  return sizeof(PieceHeader) + pixels * sizeof(img::Rgba);
+}
+
 std::vector<Piece> unpack_pieces(std::span<const std::uint8_t> buf) {
   std::vector<Piece> out;
   std::size_t pos = 0;

@@ -52,6 +52,9 @@ Piece extract_piece(const PartialImage& partial, ScreenRect rect);
 
 // Append a serialized piece to `buf`; `compress` selects RLE pixel payload.
 void pack_piece(const Piece& piece, bool compress, std::vector<std::uint8_t>& buf);
+// Bytes pack_piece appends for an uncompressed piece of `pixels` pixels
+// (lets a sender reserve a message exactly).
+std::size_t packed_piece_bytes(std::size_t pixels);
 
 // Unpack all pieces in a message.
 std::vector<Piece> unpack_pieces(std::span<const std::uint8_t> buf);

@@ -1,5 +1,7 @@
 #include "compositing/direct_send.hpp"
 
+#include <utility>
+
 #include "trace/trace.hpp"
 #include "util/stats.hpp"
 
@@ -46,7 +48,7 @@ CompositeResult direct_send(vmpi::Comm& comm,
       result.stats.messages += 1;
       result.stats.bytes_sent += outbox[std::size_t(r)].size();
     }
-    comm.send(r, kTagPieces, outbox[std::size_t(r)]);
+    comm.send(r, kTagPieces, std::move(outbox[std::size_t(r)]));
   }
   }  // ds_extract
 
@@ -110,7 +112,7 @@ CompositeResult direct_send(vmpi::Comm& comm,
     }
     result.stats.messages += 1;
     result.stats.bytes_sent += msg.size();
-    comm.send(root, kTagStrip, msg);
+    comm.send(root, kTagStrip, std::move(msg));
   }
   record_stats(result.stats);
   return result;

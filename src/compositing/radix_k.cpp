@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "metrics/metrics.hpp"
 #include "trace/trace.hpp"
@@ -100,7 +101,7 @@ CompositeResult radix_k(vmpi::Comm& comm,
     result.stats.messages += 1;
     result.stats.bytes_sent += msg.size();
     result.stats.pixels_sent += writer.pixels_added();
-    comm.send(me - plan.active, kTagFold, msg);
+    comm.send(me - plan.active, kTagFold, std::move(msg));
     record_stats(result.stats);
     return result;  // folded ranks own no region and skip the rounds
   }
@@ -159,7 +160,7 @@ CompositeResult radix_k(vmpi::Comm& comm,
       result.stats.bytes_sent += msg.size();
       result.stats.pixels_sent += writers[std::size_t(j)].pixels_added();
       round_sent += msg.size();
-      comm.send(base + j * stride, tag, msg);
+      comm.send(base + j * stride, tag, std::move(msg));
     }
     round_bytes_hist.observe(double(round_sent));
 
@@ -226,7 +227,7 @@ CompositeResult radix_k(vmpi::Comm& comm,
     result.stats.messages += 1;
     result.stats.bytes_sent += msg.size();
     result.stats.pixels_sent += writer.pixels_added();
-    comm.send(root, kTagGather, msg);
+    comm.send(root, kTagGather, std::move(msg));
   }
   record_stats(result.stats);
   return result;

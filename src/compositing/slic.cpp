@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "trace/trace.hpp"
 #include "util/stats.hpp"
@@ -123,21 +124,39 @@ CompositeResult slic(vmpi::Comm& comm, std::span<const PartialImage> partials,
   //    aggregate per destination.
   std::vector<Piece> incoming;
   std::vector<const SlicSpan*> my_spans;
+  // My partials holding pixels of a (one-row) span: there may be several
+  // stacked blocks.
+  auto covers = [](const PartialImage& p, const SlicSpan& span) {
+    return !p.rect.empty() && span.y >= p.rect.y0 && span.y < p.rect.y1 &&
+           p.rect.x0 <= span.x0 && p.rect.x1 >= span.x1;
+  };
+  auto sent_by_me = [me](const SlicSpan& span) {
+    return span.compositor != me &&
+           std::find(span.contributors.begin(), span.contributors.end(), me) !=
+               span.contributors.end();
+  };
   {
   trace::Span exchange_span("compositing", "slic_exchange");
   std::vector<std::vector<std::uint8_t>> outbox(static_cast<std::size_t>(P));
+  if (!compress) {
+    // Uncompressed pieces have known sizes: reserve every message exactly,
+    // so none carries growth slack into the mailbox.
+    std::vector<std::size_t> bytes(static_cast<std::size_t>(P), 0);
+    for (const SlicSpan& span : sched.spans) {
+      if (!sent_by_me(span)) continue;
+      for (const auto& p : partials)
+        if (covers(p, span))
+          bytes[std::size_t(span.compositor)] +=
+              packed_piece_bytes(std::size_t(span.x1 - span.x0));
+    }
+    for (int r = 0; r < P; ++r)
+      outbox[std::size_t(r)].reserve(bytes[std::size_t(r)]);
+  }
   for (const SlicSpan& span : sched.spans) {
     if (span.compositor == me) my_spans.push_back(&span);
-    bool i_contribute =
-        std::find(span.contributors.begin(), span.contributors.end(), me) !=
-        span.contributors.end();
-    if (!i_contribute || span.compositor == me) continue;
-    // Extract my pixels covering this span from each of my overlapping
-    // partials (there may be several stacked blocks).
+    if (!sent_by_me(span)) continue;
     for (const auto& p : partials) {
-      if (p.rect.empty()) continue;
-      if (span.y < p.rect.y0 || span.y >= p.rect.y1) continue;
-      if (p.rect.x0 > span.x0 || p.rect.x1 < span.x1) continue;
+      if (!covers(p, span)) continue;
       Piece piece = extract_piece(p, {span.x0, span.y, span.x1, span.y + 1});
       result.stats.pixels_sent += piece.pixels.size();
       pack_piece(piece, compress, outbox[std::size_t(span.compositor)]);
@@ -147,21 +166,32 @@ CompositeResult slic(vmpi::Comm& comm, std::span<const PartialImage> partials,
     if (r == me) continue;
     result.stats.messages += outbox[std::size_t(r)].empty() ? 0 : 1;
     result.stats.bytes_sent += outbox[std::size_t(r)].size();
-    comm.send(r, kTagSpanData, outbox[std::size_t(r)]);
+    comm.send(r, kTagSpanData, std::move(outbox[std::size_t(r)]));
   }
 
   // 4. Receive contributions and composite my scheduled spans.
+  std::vector<std::vector<Piece>> got(static_cast<std::size_t>(P));
+  std::size_t pieces = 0;
   for (int r = 0; r < P; ++r) {
     if (r == me) continue;
     std::vector<std::uint8_t> msg;
     comm.recv(r, kTagSpanData, msg);
-    auto got = unpack_pieces(msg);
-    for (auto& p : got) incoming.push_back(std::move(p));
+    got[std::size_t(r)] = unpack_pieces(msg);
+    pieces += got[std::size_t(r)].size();
   }
+  incoming.reserve(pieces);
+  for (auto& from : got)
+    for (auto& p : from) incoming.push_back(std::move(p));
   }  // slic_exchange
 
   // Final pixels of my spans, to be shipped to the root.
   std::vector<std::uint8_t> final_msg;
+  if (!compress) {
+    std::size_t bytes = 0;
+    for (const SlicSpan* span : my_spans)
+      bytes += packed_piece_bytes(std::size_t(span->x1 - span->x0));
+    final_msg.reserve(bytes);
+  }
   {
   trace::Span composite_span("compositing", "slic_composite");
   WallTimer comp_timer;
@@ -176,9 +206,7 @@ CompositeResult slic(vmpi::Comm& comm, std::span<const PartialImage> partials,
     std::vector<Piece> contributions;
     // My own partials' pixels.
     for (const auto& p : partials) {
-      if (p.rect.empty()) continue;
-      if (span->y < p.rect.y0 || span->y >= p.rect.y1) continue;
-      if (p.rect.x0 > span->x0 || p.rect.x1 < span->x1) continue;
+      if (!covers(p, *span)) continue;
       contributions.push_back(
           extract_piece(p, {span->x0, span->y, span->x1, span->y + 1}));
     }
@@ -211,7 +239,7 @@ CompositeResult slic(vmpi::Comm& comm, std::span<const PartialImage> partials,
   if (me != root) {
     result.stats.messages += final_msg.empty() ? 0 : 1;
     result.stats.bytes_sent += final_msg.size();
-    comm.send(root, kTagFinal, final_msg);
+    comm.send(root, kTagFinal, std::move(final_msg));
     record_stats(result.stats);
     return result;
   }

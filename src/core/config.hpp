@@ -68,7 +68,11 @@ struct PipelineConfig {
   int height = 256;
   int adaptive_level = -1;  // octree level to fetch/render; -1 = finest
   int block_level = 2;      // subtree depth of the block decomposition
-  octree::AssignStrategy assign = octree::AssignStrategy::kMortonContiguous;
+  // Initial block -> renderer assignment. The default balances each
+  // block's view cost at step 0 (see assign_for_view); kMortonContiguous
+  // and kRoundRobin use the paper's static cell-count estimate. Frames are
+  // identical under every strategy.
+  octree::AssignStrategy assign = octree::AssignStrategy::kLargestFirst;
 
   render::RenderOptions render;   // lighting, step size, value window
   Colormap colormap = Colormap::kSeismic;

@@ -59,9 +59,8 @@ struct Setup {
         views("insitu", cfg.steer, cfg.snapshots, cfg.render, mesh.domain(),
               cfg.width, cfg.height, cfg.orbit_deg_per_step) {
     blocks = octree::decompose(mesh.octree(), cfg.block_level);
-    octree::estimate_workloads(mesh.octree(), blocks,
-                               octree::WorkloadModel::kCellCount);
-    owners = octree::assign_blocks(blocks, cfg.render_procs, cfg.assign);
+    owners = assign_for_view(blocks, mesh.octree(), views.camera(0),
+                             cfg.render_procs, cfg.assign);
     index = io::BlockNodeIndex(mesh, blocks);
   }
 };

@@ -40,7 +40,8 @@ struct InsituConfig {
   int width = 256;
   int height = 192;
   int block_level = 2;
-  octree::AssignStrategy assign = octree::AssignStrategy::kMortonContiguous;
+  // Initial assignment (see PipelineConfig::assign).
+  octree::AssignStrategy assign = octree::AssignStrategy::kLargestFirst;
   render::RenderOptions render;
   Colormap colormap = Colormap::kSeismic;
   io::Variable variable = io::Variable::kMagnitude;

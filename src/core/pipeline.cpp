@@ -270,9 +270,8 @@ struct Setup {
               reader.meta().domain, config.width, config.height,
               config.orbit_deg_per_step) {
     blocks = octree::decompose(mesh->octree(), cfg.block_level);
-    octree::estimate_workloads(mesh->octree(), blocks,
-                               octree::WorkloadModel::kCellCount);
-    owners = octree::assign_blocks(blocks, cfg.render_procs, cfg.assign);
+    owners = assign_for_view(blocks, mesh->octree(), views.camera(0),
+                             cfg.render_procs, cfg.assign);
     index = io::BlockNodeIndex(*mesh, blocks);
   }
 
@@ -363,22 +362,21 @@ std::vector<float> make_scalar(const PipelineConfig& cfg, const Setup& st,
   return io::temporal_enhance(scalar, pm, nm, cfg.enhancement_gain);
 }
 
+// The surface LIC of one step (§4.3). `lic` holds everything static across
+// steps (resample stencil, noise, buffers) and is built on the first call.
 void input_lic(vmpi::Comm& world, const PipelineConfig& cfg, const Setup& st,
                int step, std::span<const float> interleaved,
-               std::optional<lic::Quadtree>& qt) {
+               std::optional<lic::SurfaceLic>& lic) {
   auto field = lic::extract_surface_field(*st.mesh, interleaved);
-  if (!qt) qt.emplace(field.positions);
-  int res = cfg.lic_resolution;
-  auto grid = lic::resample(field, *qt, res, res);
-  auto noise = lic::make_noise(res, res, 0xABCD1234u);
+  if (!lic) lic.emplace(field.positions, cfg.lic_resolution, 0xABCD1234u);
   lic::LicOptions lopt;
   lopt.periodic_kernel = true;
   lopt.phase = float(step % 8) / 8.0f;
-  auto gray = lic::compute_lic(grid, noise, res, res, lopt);
+  std::span<const float> gray = lic->run(field.vectors, lopt);
   int out_rank = cfg.total_input_procs() + cfg.render_procs;
   world.isend(out_rank, tag_lic(step),
               {reinterpret_cast<const std::uint8_t*>(gray.data()),
-               gray.size() * sizeof(float)});
+               gray.size_bytes()});
 }
 
 // Control-plane listener of an input rank. Everything an input ever
@@ -440,7 +438,7 @@ void run_input_1dip(Shared& sh, const Setup& st, vmpi::Comm& world,
   const PipelineConfig& cfg = sh.config;
   const int m = cfg.input_procs;
   const int I = cfg.total_input_procs();
-  std::optional<lic::Quadtree> qt;
+  std::optional<lic::SurfaceLic> lic;
   std::vector<std::size_t> all_blocks(st.blocks.size());
   for (std::size_t b = 0; b < all_blocks.size(); ++b) all_blocks[b] = b;
 
@@ -537,7 +535,7 @@ void run_input_1dip(Shared& sh, const Setup& st, vmpi::Comm& world,
       auto scalar = make_scalar(cfg, st, cur, prev, next);
       q = io::quantize(scalar, cfg.render.value_lo, cfg.render.value_hi);
       sent_range[s] = {q.lo, q.hi};
-      if (cfg.lic_overlay) input_lic(world, cfg, st, s, cur, qt);
+      if (cfg.lic_overlay) input_lic(world, cfg, st, s, cur, lic);
     }
     acc.preprocess += t.seconds();
     t.reset();
@@ -1153,7 +1151,7 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
   }
   // Release the inputs' control loops: this renderer will NACK no more.
   for (int ip = 0; ip < cfg.total_input_procs(); ++ip)
-    world.isend(ip, kTagDone, {});
+    world.isend(ip, kTagDone, std::span<const std::uint8_t>{});
   pipe_counters().render_steps.add(std::uint64_t(st.num_steps));
   std::lock_guard lk(sh.mu);
   sh.render += render_time;

@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "render/order.hpp"
+
 namespace qv::core {
 
 ViewSchedule::ViewSchedule(const char* driver, const SteeringConfig& steer,
@@ -49,6 +51,20 @@ render::Camera ViewSchedule::camera(int step) const {
   float az = orbit_deg_per_step_ * float(step);
   if (steering_) az += at(step).azimuth_deg;
   return render::Camera::orbit(domain_, width_, height_, az);
+}
+
+std::vector<int> assign_for_view(std::span<octree::Block> blocks,
+                                 const mesh::LinearOctree& tree,
+                                 const render::Camera& camera,
+                                 int render_procs,
+                                 octree::AssignStrategy strategy) {
+  if (strategy == octree::AssignStrategy::kLargestFirst) {
+    const std::vector<double> cost = render::view_costs(blocks, camera);
+    for (std::size_t b = 0; b < blocks.size(); ++b) blocks[b].workload = cost[b];
+  } else {
+    octree::estimate_workloads(tree, blocks, octree::WorkloadModel::kCellCount);
+  }
+  return octree::assign_blocks(blocks, render_procs, strategy);
 }
 
 }  // namespace qv::core

@@ -6,9 +6,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/config.hpp"
+#include "octree/blocks.hpp"
 #include "render/camera.hpp"
 #include "stream/control.hpp"
 
@@ -38,5 +40,17 @@ class ViewSchedule {
   int width_, height_;
   float orbit_deg_per_step_;
 };
+
+// The initial block -> renderer assignment of both drivers, which also
+// fills each block's workload. kLargestFirst balances the view cost
+// (render::view_costs) under `camera`, step 0's view, since that tracks
+// what each renderer samples; the other strategies keep the paper's static
+// cell-count estimate. Frames do not depend on the assignment: renderers
+// composite per-block partials in global visibility order.
+std::vector<int> assign_for_view(std::span<octree::Block> blocks,
+                                 const mesh::LinearOctree& tree,
+                                 const render::Camera& camera,
+                                 int render_procs,
+                                 octree::AssignStrategy strategy);
 
 }  // namespace qv::core

@@ -2,26 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace qv::lic {
-
-Vec2 VectorGrid::sample_grid(float gx, float gy) const {
-  gx = std::clamp(gx, 0.0f, float(w_ - 1));
-  gy = std::clamp(gy, 0.0f, float(h_ - 1));
-  int x0 = std::min(int(gx), w_ - 2);
-  int y0 = std::min(int(gy), h_ - 2);
-  if (w_ == 1) x0 = 0;
-  if (h_ == 1) y0 = 0;
-  float fx = gx - float(x0);
-  float fy = gy - float(y0);
-  Vec2 a = at(x0, y0);
-  Vec2 b = at(std::min(x0 + 1, w_ - 1), y0);
-  Vec2 c = at(x0, std::min(y0 + 1, h_ - 1));
-  Vec2 d = at(std::min(x0 + 1, w_ - 1), std::min(y0 + 1, h_ - 1));
-  Vec2 top = a * (1.0f - fx) + b * fx;
-  Vec2 bot = c * (1.0f - fx) + d * fx;
-  return top * (1.0f - fy) + bot * fy;
-}
 
 SurfaceField extract_surface_field(const mesh::HexMesh& mesh,
                                    std::span<const float> interleaved3) {
@@ -38,17 +21,23 @@ SurfaceField extract_surface_field(const mesh::HexMesh& mesh,
   return f;
 }
 
-VectorGrid resample(const SurfaceField& field, const Quadtree& tree, int width,
-                    int height) {
-  Rect b = tree.bounds();
-  VectorGrid grid(width, height, b);
+ResampleStencil::ResampleStencil(std::span<const Vec2> positions,
+                                 const Quadtree& tree, int width, int height)
+    : w_(width), h_(height), bounds_(tree.bounds()), nodes_(positions.size()) {
+  if (positions.size() != tree.size())
+    throw std::runtime_error("resample: tree and positions differ in size");
+  const Rect b = bounds_;
   const float dx = b.width() / float(std::max(width - 1, 1));
   const float dy = b.height() / float(std::max(height - 1, 1));
   const float base_radius = 1.5f * std::max(dx, dy);
+  const std::size_t pixels = std::size_t(width) * std::size_t(height);
+  first_.reserve(pixels + 1);
+  wsum_.reserve(pixels);
 
   std::vector<std::uint32_t> hits;
   for (int y = 0; y < height; ++y) {
     for (int x = 0; x < width; ++x) {
+      first_.push_back(std::uint32_t(taps_.size()));
       Vec2 p{b.x0 + dx * float(x), b.y0 + dy * float(y)};
       float radius = base_radius;
       tree.query_radius(p, radius, hits);
@@ -56,23 +45,49 @@ VectorGrid resample(const SurfaceField& field, const Quadtree& tree, int width,
         radius *= 2.0f;
         tree.query_radius(p, radius, hits);
       }
-      Vec2 acc{};
       if (hits.empty()) {
-        std::uint32_t n = tree.nearest(p);
-        acc = field.vectors[n];
-      } else {
-        float wsum = 0.0f;
-        for (std::uint32_t i : hits) {
-          Vec2 d = field.positions[i] - p;
-          float w = 1.0f / (d.dot(d) + 1e-12f);
-          acc += field.vectors[i] * w;
-          wsum += w;
-        }
-        acc = acc / wsum;
+        taps_.push_back({tree.nearest(p), 1.0f});
+        wsum_.push_back(0.0f);
+        continue;
       }
-      grid.at(x, y) = acc;
+      float wsum = 0.0f;
+      for (std::uint32_t i : hits) {
+        Vec2 d = positions[i] - p;
+        float w = 1.0f / (d.dot(d) + 1e-12f);
+        taps_.push_back({i, w});
+        wsum += w;
+      }
+      wsum_.push_back(wsum);
     }
   }
+  first_.push_back(std::uint32_t(taps_.size()));
+  taps_.shrink_to_fit();
+}
+
+void ResampleStencil::apply(std::span<const Vec2> vectors,
+                            VectorGrid& out) const {
+  if (out.width() != w_ || out.height() != h_ || vectors.size() != nodes_)
+    throw std::runtime_error("resample: size mismatch");
+  Vec2* px = out.data().data();
+  const std::size_t pixels = wsum_.size();
+  for (std::size_t p = 0; p < pixels; ++p) {
+    const Tap* t = taps_.data() + first_[p];
+    const Tap* end = taps_.data() + first_[p + 1];
+    if (wsum_[p] == 0.0f) {
+      px[p] = vectors[t->node];
+      continue;
+    }
+    Vec2 acc{};
+    for (; t != end; ++t) acc += vectors[t->node] * t->weight;
+    px[p] = acc / wsum_[p];
+  }
+}
+
+VectorGrid resample(const SurfaceField& field, const Quadtree& tree, int width,
+                    int height) {
+  ResampleStencil stencil(field.positions, tree, width, height);
+  VectorGrid grid(width, height, stencil.bounds());
+  stencil.apply(field.vectors, grid);
   return grid;
 }
 

@@ -39,18 +39,24 @@ bool advance(const VectorGrid& field, float& gx, float& gy, float step,
   return true;
 }
 
+// Pixels of one row whose streamlines advance in lockstep. Eight
+// independent dependency chains (sample, normalize, step) keep the core
+// busy while any one of them waits on a divide or a load.
+constexpr int kLanes = 8;
+
 }  // namespace
 
-std::vector<float> compute_lic(const VectorGrid& field,
-                               std::span<const float> noise, int width,
-                               int height, const LicOptions& options) {
-  if (noise.size() != std::size_t(width) * std::size_t(height))
+void compute_lic(const VectorGrid& field, std::span<const float> noise,
+                 int width, int height, const LicOptions& options,
+                 std::span<float> out) {
+  const std::size_t pixels = std::size_t(width) * std::size_t(height);
+  if (noise.size() != pixels)
     throw std::runtime_error("lic: noise size mismatch");
   if (field.width() != width || field.height() != height)
     throw std::runtime_error("lic: field size mismatch");
-
-  std::vector<float> out(noise.size(), 0.0f);
+  if (out.size() != pixels) throw std::runtime_error("lic: output size mismatch");
   const int L = options.kernel_half_length;
+  if (L < 0) throw std::runtime_error("lic: negative kernel length");
 
   // Precompute magnitude normalization if requested.
   float max_mag = 0.0f;
@@ -59,44 +65,94 @@ std::vector<float> compute_lic(const VectorGrid& field,
     if (max_mag <= 0.0f) max_mag = 1.0f;
   }
 
-  auto kernel = [&](int k) {
-    if (!options.periodic_kernel) return 1.0f;
+  // The kernel weight of sample k in [-L, L] lives at kernel[L + k].
+  std::vector<float> kernel(std::size_t(2 * L + 1), 1.0f);
+  if (options.periodic_kernel) {
     // Ripple kernel: a raised cosine whose phase advances per frame,
     // giving the impression of flow direction when animated.
-    float t = (float(k + L) / float(2 * L)) + options.phase;
-    return 0.5f + 0.5f * std::cos(2.0f * float(M_PI) * (t - std::floor(t)));
-  };
-
-  for (int y = 0; y < height; ++y) {
-    for (int x = 0; x < width; ++x) {
-      float acc = noise_at(noise, width, height, float(x), float(y)) * kernel(0);
-      float wsum = kernel(0);
-      // Forward.
-      float gx = float(x), gy = float(y);
-      for (int k = 1; k <= L; ++k) {
-        if (!advance(field, gx, gy, options.step, +1.0f)) break;
-        float w = kernel(k);
-        acc += noise_at(noise, width, height, gx, gy) * w;
-        wsum += w;
-      }
-      // Backward.
-      gx = float(x);
-      gy = float(y);
-      for (int k = 1; k <= L; ++k) {
-        if (!advance(field, gx, gy, options.step, -1.0f)) break;
-        float w = kernel(-k);
-        acc += noise_at(noise, width, height, gx, gy) * w;
-        wsum += w;
-      }
-      float v = wsum > 0.0f ? acc / wsum : 0.0f;
-      if (options.magnitude_modulation) {
-        float mag = field.at(x, y).norm() / max_mag;
-        v *= 0.35f + 0.65f * std::sqrt(mag);
-      }
-      out[std::size_t(y) * std::size_t(width) + std::size_t(x)] = v;
+    for (int k = -L; k <= L; ++k) {
+      float t = (float(k + L) / float(2 * L)) + options.phase;
+      kernel[std::size_t(L + k)] =
+          0.5f + 0.5f * std::cos(2.0f * float(M_PI) * (t - std::floor(t)));
     }
   }
+
+  float acc[kLanes], wsum[kLanes], gx[kLanes], gy[kLanes];
+  bool live[kLanes];
+  for (int y = 0; y < height; ++y) {
+    for (int x0 = 0; x0 < width; x0 += kLanes) {
+      const int n = std::min(kLanes, width - x0);
+      for (int j = 0; j < n; ++j) {
+        acc[j] = noise_at(noise, width, height, float(x0 + j), float(y)) *
+                 kernel[std::size_t(L)];
+        wsum[j] = kernel[std::size_t(L)];
+      }
+      // Forward (+1) then backward (-1) from the pixel centre.
+      for (int sign : {+1, -1}) {
+        const float dir = float(sign);
+        int alive = n;
+        for (int j = 0; j < n; ++j) {
+          gx[j] = float(x0 + j);
+          gy[j] = float(y);
+          live[j] = true;
+        }
+        for (int k = 1; k <= L && alive > 0; ++k) {
+          const float w = kernel[std::size_t(L + sign * k)];
+          for (int j = 0; j < n; ++j) {
+            if (!live[j]) continue;
+            if (!advance(field, gx[j], gy[j], options.step, dir)) {
+              live[j] = false;
+              --alive;
+              continue;
+            }
+            acc[j] += noise_at(noise, width, height, gx[j], gy[j]) * w;
+            wsum[j] += w;
+          }
+        }
+      }
+      for (int j = 0; j < n; ++j) {
+        const int x = x0 + j;
+        float v = wsum[j] > 0.0f ? acc[j] / wsum[j] : 0.0f;
+        if (options.magnitude_modulation) {
+          float mag = field.at(x, y).norm() / max_mag;
+          v *= 0.35f + 0.65f * std::sqrt(mag);
+        }
+        out[std::size_t(y) * std::size_t(width) + std::size_t(x)] = v;
+      }
+    }
+  }
+}
+
+std::vector<float> compute_lic(const VectorGrid& field,
+                               std::span<const float> noise, int width,
+                               int height, const LicOptions& options) {
+  std::vector<float> out(std::size_t(width) * std::size_t(height));
+  compute_lic(field, noise, width, height, options, out);
   return out;
+}
+
+namespace {
+
+ResampleStencil surface_stencil(std::span<const Vec2> positions,
+                                int resolution) {
+  Quadtree tree(positions);
+  return ResampleStencil(positions, tree, resolution, resolution);
+}
+
+}  // namespace
+
+SurfaceLic::SurfaceLic(std::span<const Vec2> positions, int resolution,
+                       std::uint64_t noise_seed)
+    : stencil_(surface_stencil(positions, resolution)),
+      noise_(make_noise(resolution, resolution, noise_seed)),
+      grid_(resolution, resolution, stencil_.bounds()),
+      gray_(noise_.size()) {}
+
+std::span<const float> SurfaceLic::run(std::span<const Vec2> vectors,
+                                       const LicOptions& options) {
+  stencil_.apply(vectors, grid_);
+  compute_lic(grid_, noise_, grid_.width(), grid_.height(), options, gray_);
+  return gray_;
 }
 
 std::vector<float> advect_lic_frame(const VectorGrid& field,

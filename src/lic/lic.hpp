@@ -27,10 +27,37 @@ struct LicOptions {
 // White-noise input texture, values in [0,1].
 std::vector<float> make_noise(int width, int height, std::uint64_t seed);
 
-// Compute the LIC gray image (width*height floats in [0,1]).
+// Compute the LIC gray image (width*height floats in [0,1]) into `out`.
+// Streamlines of neighbouring pixels advance in lockstep so that their
+// independent RK2 chains overlap; every pixel keeps its own op sequence,
+// so the image does not depend on the batching.
+void compute_lic(const VectorGrid& field, std::span<const float> noise,
+                 int width, int height, const LicOptions& options,
+                 std::span<float> out);
 std::vector<float> compute_lic(const VectorGrid& field,
                                std::span<const float> noise, int width,
                                int height, const LicOptions& options);
+
+// The input rank's per-step surface LIC (§4.3) at `resolution`^2. Every
+// static part is built once: the resample stencil over the ground nodes
+// (the quadtree is dropped once the stencil exists), the noise texture,
+// and the grid and image buffers reused from step to step.
+class SurfaceLic {
+ public:
+  SurfaceLic(std::span<const Vec2> positions, int resolution,
+             std::uint64_t noise_seed);
+
+  // Resample `vectors` (one per position) and convolve. The image stays
+  // valid until the next call.
+  std::span<const float> run(std::span<const Vec2> vectors,
+                             const LicOptions& options);
+
+ private:
+  ResampleStencil stencil_;
+  std::vector<float> noise_;
+  VectorGrid grid_;
+  std::vector<float> gray_;
+};
 
 // One frame of a time-coherent LIC animation (the IBFV / Lagrangian-
 // Eulerian advection family the paper cites for time-dependent fields,

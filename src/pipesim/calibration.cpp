@@ -61,20 +61,24 @@ KernelRates measure_kernel_rates() {
     (void)q;
   }
 
-  // LIC throughput.
+  // LIC throughput: one steady LIC step of an input rank (surface
+  // extraction, stencil resample, convolution) through the entry point the
+  // pipeline runs, so Tlic includes the resample. The stencil is built once
+  // per run and stays outside the timer, as it does in the pipeline.
   {
     const int n = 128;
-    lic::VectorGrid grid(n, n, {0, 0, 1, 1});
-    for (int y = 0; y < n; ++y)
-      for (int x = 0; x < n; ++x)
-        grid.at(x, y) = {float(y - n / 2), float(n / 2 - x)};
-    auto noise = lic::make_noise(n, n, 11);
+    mesh::HexMesh mesh(mesh::LinearOctree::uniform({{0, 0, 0}, {1, 1, 1}}, 5));
+    quake::SyntheticQuake quake;
+    auto vel = quake.sample_nodes(mesh, 1.2f);
+    lic::SurfaceLic surface(lic::extract_surface_field(mesh, vel).positions, n,
+                            11);
     lic::LicOptions opt;
+    opt.periodic_kernel = true;
     WallTimer timer;
-    auto out = lic::compute_lic(grid, noise, n, n, opt);
+    auto field = lic::extract_surface_field(mesh, vel);
+    auto out = surface.run(field.vectors, opt);
     double secs = timer.seconds();
-    rates.lic_pixels_per_sec = secs > 0.0 ? double(n) * n / secs : 1e6;
-    (void)out;
+    rates.lic_pixels_per_sec = secs > 0.0 ? double(out.size()) / secs : 1e6;
   }
 
   return rates;

@@ -12,7 +12,7 @@ namespace qv::pipesim {
 struct KernelRates {
   double render_samples_per_sec = 0.0;  // raycaster volume samples / s
   double quantize_bytes_per_sec = 0.0;  // 32->8 bit quantization throughput
-  double lic_pixels_per_sec = 0.0;      // LIC output pixels / s
+  double lic_pixels_per_sec = 0.0;      // input-rank LIC step pixels / s
 };
 
 // Quick micro-measurements on synthetic inputs (a few hundred ms total).

@@ -72,4 +72,25 @@ std::vector<std::size_t> visibility_order(std::span<const octree::Block> blocks,
   return s.out;
 }
 
+std::vector<double> view_costs(std::span<const octree::Block> blocks,
+                               const Camera& camera) {
+  std::vector<double> cost(blocks.size(), 0.0);
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const ScreenRect fp = camera.footprint(blocks[b].bounds);
+    double sum = 0.0;
+    for (int py = fp.y0; py < fp.y1; ++py) {
+      for (int px = fp.x0; px < fp.x1; ++px) {
+        const Ray ray = camera.pixel_ray(px, py);
+        float t_in, t_out;
+        if (!blocks[b].bounds.intersect(ray.origin, ray.inv_dir, t_in, t_out))
+          continue;
+        t_in = std::max(t_in, 0.0f);
+        if (t_in < t_out) sum += double(t_out - t_in);
+      }
+    }
+    cost[b] = sum;
+  }
+  return cost;
+}
+
 }  // namespace qv::render

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "octree/blocks.hpp"
+#include "render/camera.hpp"
 #include "util/vec.hpp"
 
 namespace qv::render {
@@ -20,5 +21,14 @@ namespace qv::render {
 // `domain` is the octree's root box.
 std::vector<std::size_t> visibility_order(std::span<const octree::Block> blocks,
                                           const Box3& domain, Vec3 eye);
+
+// View-dependent rendering cost of each block: the summed length of the
+// chords that the pixel rays of the block's screen footprint cut through
+// its box, counted from the eye on (the stretch the raycaster samples). A
+// block off-screen or behind the eye costs 0. Pure arithmetic on the
+// camera and the boxes, summed in pixel order, so every rank computes the
+// same costs without a message.
+std::vector<double> view_costs(std::span<const octree::Block> blocks,
+                               const Camera& camera);
 
 }  // namespace qv::render

@@ -96,6 +96,10 @@ constexpr int kTagSplitReply = -104;
 }  // namespace
 
 void Comm::send(int dest, int tag, std::span<const std::uint8_t> data) {
+  send(dest, tag, std::vector<std::uint8_t>(data.begin(), data.end()));
+}
+
+void Comm::send(int dest, int tag, std::vector<std::uint8_t>&& data) {
   trace::Span tsp("vmpi", "send", std::int64_t(data.size()));
   send_calls().add();
   send_bytes().add(data.size());
@@ -106,7 +110,7 @@ void Comm::send(int dest, int tag, std::span<const std::uint8_t> data) {
   msg.context = context_;
   msg.source = world_rank();
   msg.tag = tag;
-  msg.payload.assign(data.begin(), data.end());
+  msg.payload = std::move(data);
 
   // Fault injection: user-tag payloads only; the runtime's internal
   // collective traffic (negative tags) is exempt so the transport itself

@@ -8,9 +8,10 @@
 // block types with collective two-phase reads.
 //
 // Semantics notes:
-//  * send() is buffered: the payload is copied into the destination mailbox
-//    immediately, so isend() completes at call time (like MPI_Ibsend). This
-//    is exactly the overlap behaviour the pipeline relies on.
+//  * send() is buffered: the payload is copied (or, handed over as an
+//    rvalue vector, moved) into the destination mailbox immediately, so
+//    isend() completes at call time (like MPI_Ibsend). This is exactly the
+//    overlap behaviour the pipeline relies on.
 //  * recv() matches on (source, tag) in arrival order; kAnySource/kAnyTag
 //    wildcards are supported.
 //  * Each communicator has a private context id, so traffic on split
@@ -132,9 +133,15 @@ class Comm {
 
   // --- point to point -----------------------------------------------------
   void send(int dest, int tag, std::span<const std::uint8_t> data);
+  // The same, moving the payload into the mailbox instead of copying it:
+  // a large message is then held once, not by both sender and mailbox.
+  void send(int dest, int tag, std::vector<std::uint8_t>&& data);
   // Buffered nonblocking send: identical to send() (completes immediately).
   void isend(int dest, int tag, std::span<const std::uint8_t> data) {
     send(dest, tag, data);
+  }
+  void isend(int dest, int tag, std::vector<std::uint8_t>&& data) {
+    send(dest, tag, std::move(data));
   }
   Status recv(int source, int tag, std::vector<std::uint8_t>& out);
   // Bounded-wait receive: waits up to `timeout` for a matching message.

@@ -191,7 +191,7 @@ void File::read_all(std::span<std::uint8_t> out, double sieve_threshold) {
   }
   if (hi <= lo) {
     // Nothing requested anywhere; still complete the collective.
-    for (int r = 0; r < P; ++r) comm_->send(r, kTagFileData, {});
+    for (int r = 0; r < P; ++r) comm_->send(r, kTagFileData, std::span<const std::uint8_t>{});
     for (int r = 0; r < P; ++r) {
       std::vector<std::uint8_t> ignore;
       comm_->recv(r, kTagFileData, ignore);

@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 
 #include "core/serial.hpp"
+#include "core/view_schedule.hpp"
+#include "render/order.hpp"
 #include "metrics/metrics.hpp"
 #include "quake/synthetic.hpp"
 #include "util/sha256.hpp"
@@ -217,6 +220,56 @@ TEST_F(PipelineTest, BinarySwapRoutesToRadixKOnNonPowerOfTwoRenderers) {
   for (std::size_t s = 0; s < bs_frames.size(); ++s) {
     EXPECT_EQ(img::rmse(bs_frames[s], ds_frames[s]), 0.0) << "frame " << s;
   }
+}
+
+// The default assignment balances view costs with largest-first; the old
+// default was contiguous Morton ranges of the cell-count estimate. Renderers
+// composite per-block partials in global order, so every frame must be the
+// same bytes under both, for every compositor and renderer count.
+TEST_F(PipelineTest, ViewBalancedAssignmentKeepsEveryFrameByte) {
+  ASSERT_EQ(PipelineConfig{}.assign, octree::AssignStrategy::kLargestFirst);
+  for (int renderers : {2, 3}) {
+    for (Compositor c : {Compositor::kSlic, Compositor::kDirectSend,
+                         Compositor::kBinarySwap, Compositor::kRadixK}) {
+      auto cfg = base_config();
+      cfg.render_procs = renderers;
+      cfg.compositor = c;
+      std::vector<img::Image> balanced, morton;
+      run_pipeline(cfg, &balanced);
+      cfg.assign = octree::AssignStrategy::kMortonContiguous;
+      run_pipeline(cfg, &morton);
+      ASSERT_EQ(balanced.size(), std::size_t(kSteps));
+      ASSERT_EQ(morton.size(), balanced.size());
+      for (std::size_t s = 0; s < balanced.size(); ++s) {
+        auto a = balanced[s].pixels();
+        auto b = morton[s].pixels();
+        ASSERT_EQ(a.size(), b.size());
+        EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size_bytes()), 0)
+            << renderers << " renderers, compositor " << int(c) << ", frame "
+            << s;
+      }
+    }
+  }
+}
+
+// The initial assignment itself differs: view costs move blocks between
+// renderers (otherwise the wall above would prove nothing).
+TEST(AssignForView, LargestFirstUsesViewCostsOthersCellCounts) {
+  auto tree = mesh::LinearOctree::uniform(kUnit, 3);
+  auto cam = render::Camera::overview(kUnit, 64, 48);
+  auto blocks = octree::decompose(tree, 2);
+  auto morton = assign_for_view(blocks, tree, cam, 3,
+                                octree::AssignStrategy::kMortonContiguous);
+  for (const auto& b : blocks) EXPECT_EQ(b.workload, double(b.cell_count()));
+  auto balanced = assign_for_view(blocks, tree, cam, 3,
+                                  octree::AssignStrategy::kLargestFirst);
+  auto cost = render::view_costs(blocks, cam);
+  for (std::size_t i = 0; i < blocks.size(); ++i)
+    EXPECT_EQ(blocks[i].workload, cost[i]);
+  EXPECT_NE(balanced, morton);
+  auto load = octree::per_proc_load(blocks, balanced, 3);
+  auto morton_load = octree::per_proc_load(blocks, morton, 3);
+  EXPECT_LT(load_imbalance(load), load_imbalance(morton_load));
 }
 
 TEST_F(PipelineTest, SelectedCompositorLandsInMetricsRegistry) {

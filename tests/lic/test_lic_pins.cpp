@@ -5,7 +5,9 @@
 // the printed hashes here, deliberately, in the same commit.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <span>
+#include <stdexcept>
 
 #include "lic/field2d.hpp"
 #include "lic/lic.hpp"
@@ -73,6 +75,45 @@ TEST(LicPins, RippleKernelTwoPhases) {
 TEST(LicPins, RippleKernelOddSize) {
   std::string got = ripple_hash(93, 61, 0.625f);
   EXPECT_EQ(got, kRippleOddSize) << "93x61 LIC changed: " << got;
+}
+
+// The input rank's entry point: one stencil, one noise texture and reused
+// buffers across steps give, step after step, the same bytes as a fresh
+// resample and convolution.
+TEST(SurfaceLic, EveryStepMatchesAFreshResampleAndConvolution) {
+  mesh::HexMesh mesh(mesh::LinearOctree::uniform(kUnit, 5));
+  quake::SyntheticQuake quake;
+  const auto positions =
+      extract_surface_field(mesh, quake.sample_nodes(mesh, 0.0f)).positions;
+  SurfaceLic lic(positions, 96, 0xABCD1234u);
+  for (int step = 0; step < 3; ++step) {
+    SurfaceField field =
+        extract_surface_field(mesh, quake.sample_nodes(mesh, 0.8f + 0.3f * step));
+    LicOptions opt;
+    opt.periodic_kernel = true;
+    opt.phase = float(step) / 8.0f;
+    std::span<const float> got = lic.run(field.vectors, opt);
+
+    Quadtree tree(field.positions);
+    VectorGrid grid = resample(field, tree, 96, 96);
+    auto want = compute_lic(grid, make_noise(96, 96, 0xABCD1234u), 96, 96, opt);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size_bytes()), 0)
+        << "step " << step;
+  }
+}
+
+TEST(ResampleStencil, RejectsMismatchedSizes) {
+  SurfaceField field = level5_surface();
+  Quadtree tree(field.positions);
+  ResampleStencil stencil(field.positions, tree, 8, 8);
+  VectorGrid wrong_grid(8, 9, stencil.bounds());
+  EXPECT_THROW(stencil.apply(field.vectors, wrong_grid), std::runtime_error);
+  VectorGrid grid(8, 8, stencil.bounds());
+  EXPECT_THROW(stencil.apply(std::span<const Vec2>(field.vectors).first(5), grid),
+               std::runtime_error);
+  std::span<const Vec2> fewer(field.positions.data(), 10);
+  EXPECT_THROW(ResampleStencil(fewer, tree, 8, 8), std::runtime_error);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 
 #include "util/rng.hpp"
@@ -98,6 +99,50 @@ TEST(VisibilityOrder, EyeInsideDomainStillPermutes) {
   auto order = visibility_order(blocks, kUnit, {0.5f, 0.5f, 0.5f});
   std::set<std::size_t> seen(order.begin(), order.end());
   EXPECT_EQ(seen.size(), blocks.size());
+}
+
+// The view cost every rank computes for the initial assignment: it must be
+// the same bits on every call, with nothing shared between the calls.
+TEST(ViewCost, IsDeterministic) {
+  auto tree = mesh::LinearOctree::uniform(kUnit, 3);
+  auto blocks = blocks_of(tree, 2);
+  auto a = view_costs(blocks, Camera::overview(kUnit, 128, 96));
+  auto b = view_costs(blocks, Camera::overview(kUnit, 128, 96));
+  ASSERT_EQ(a.size(), blocks.size());
+  ASSERT_EQ(b.size(), a.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+  EXPECT_GT(*std::max_element(a.begin(), a.end()), 0.0);
+}
+
+TEST(ViewCost, ZeroOffScreenAndBehindTheEye) {
+  Camera cam({0, 0, 0}, {1, 0, 0}, {0, 0, 1}, 20.0f, 100, 100);
+  std::vector<octree::Block> blocks(3);
+  blocks[0].bounds = {{3, -0.5f, -0.5f}, {4, 0.5f, 0.5f}};  // dead ahead
+  blocks[1].bounds = {{3, 40, -1}, {4, 42, 1}};             // off to the side
+  blocks[2].bounds = {{-5, -1, -1}, {-3, 1, 1}};            // behind the eye
+  auto cost = view_costs(blocks, cam);
+  EXPECT_GT(cost[0], 0.0);
+  EXPECT_EQ(cost[1], 0.0);
+  EXPECT_EQ(cost[2], 0.0);
+}
+
+// Only the stretch in front of the eye counts: a box around the eye costs
+// what its front half costs, not its full chords.
+TEST(ViewCost, CountsChordsFromTheEyeOn) {
+  Camera cam({0, 0, 0}, {1, 0, 0}, {0, 0, 1}, 20.0f, 50, 50);
+  std::vector<octree::Block> around(1), front(1);
+  around[0].bounds = {{-1, -1, -1}, {1, 1, 1}};
+  front[0].bounds = {{0, -1, -1}, {1, 1, 1}};
+  EXPECT_DOUBLE_EQ(view_costs(around, cam)[0], view_costs(front, cam)[0]);
+}
+
+TEST(ViewCost, NearerBlockOfTheSameSizeCostsMore) {
+  Camera cam({0, 0, 0}, {1, 0, 0}, {0, 0, 1}, 30.0f, 100, 100);
+  std::vector<octree::Block> blocks(2);
+  blocks[0].bounds = {{3, -0.5f, -0.5f}, {4, 0.5f, 0.5f}};
+  blocks[1].bounds = {{9, -0.5f, -0.5f}, {10, 0.5f, 0.5f}};
+  auto cost = view_costs(blocks, cam);
+  EXPECT_GT(cost[0], 4.0 * cost[1]);
 }
 
 }  // namespace

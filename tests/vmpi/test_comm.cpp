@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
 namespace qv::vmpi {
 namespace {
@@ -84,6 +86,28 @@ TEST(Comm, VectorPayloads) {
       auto got = comm.recv_vec<float>(0, 3);
       ASSERT_EQ(got.size(), data.size());
       EXPECT_EQ(got[999], 999.0f);
+    }
+  });
+}
+
+// A moved payload arrives intact and is the very buffer that was sent: the
+// mailbox takes it over instead of copying it.
+TEST(Comm, MovedPayloadIsDeliveredWithoutACopy) {
+  Runtime::run(2, [](Comm& comm) {
+    if (comm.rank() == 0) {
+      std::vector<std::uint8_t> payload(4096);
+      std::iota(payload.begin(), payload.end(), std::uint8_t(0));
+      const std::uint8_t* sent = payload.data();
+      comm.isend(1, 5, std::move(payload));
+      comm.send_value(1, 6, reinterpret_cast<std::uintptr_t>(sent));
+    } else {
+      std::vector<std::uint8_t> got;
+      comm.recv(0, 5, got);
+      ASSERT_EQ(got.size(), 4096u);
+      for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i], std::uint8_t(i));
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(got.data()),
+                comm.recv_value<std::uintptr_t>(0, 6));
     }
   });
 }

@@ -111,10 +111,20 @@ EOF
     echo "stream smoke: python3 unavailable, skipped run-report validation"
   fi
   # The in-situ driver shares the pipeline's output rank: its streamed
-  # frames must match the insitu_NNNN.ppm it wrote, byte for byte.
-  ./build/tools/quakeviz insitu --snapshots=3 --width=96 --height=72 \
+  # frames must match the insitu_NNNN.ppm it wrote, byte for byte. With the
+  # CLI's source timing the first three snapshots are the same empty scene;
+  # six reach the wavefront, and at least two distinct frames make sure the
+  # comparison covers changing content.
+  ./build/tools/quakeviz insitu --snapshots=6 --width=96 --height=72 \
       --out="$work/insitu" --stream --stream-bandwidth=100000000 \
       --stream-record="$work/insitu_rec.bin"
+  local distinct
+  distinct=$(sha256sum "$work"/insitu/insitu_*.ppm | cut -d' ' -f1 |
+             sort -u | wc -l)
+  [ "$distinct" -ge 2 ] \
+      || { echo "stream smoke: in-situ frames are all identical" \
+                "($distinct distinct)" >&2
+           return 1; }
   ./build/tools/quakeviz view --in="$work/insitu_rec.bin" \
       --out="$work/insitu_viewed"
   local n=0
@@ -124,10 +134,10 @@ EOF
              return 1; }
     n=$((n + 1))
   done
-  [ "$n" -eq 3 ] \
-      || { echo "stream smoke: expected 3 in-situ frames, got $n" >&2
+  [ "$n" -eq 6 ] \
+      || { echo "stream smoke: expected 6 in-situ frames, got $n" >&2
            return 1; }
-  echo "stream smoke: all $n in-situ frames byte-identical"
+  echo "stream smoke: all $n in-situ frames byte-identical ($distinct distinct)"
 }
 
 server_chaos() {
