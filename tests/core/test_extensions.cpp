@@ -262,6 +262,84 @@ InsituConfig small_insitu() {
   return cfg;
 }
 
+// SHA-256 of every in-situ frame's float pixels, in snapshot order.
+std::vector<std::string> insitu_frame_shas(const InsituConfig& cfg) {
+  std::vector<img::Image> frames;
+  run_insitu(cfg, &frames);
+  std::vector<std::string> shas;
+  for (const auto& f : frames)
+    shas.push_back(util::Sha256::hex(f.pixels().data(), f.pixels().size_bytes()));
+  return shas;
+}
+
+// Pinned frames of small_insitu(): plain (any renderer count), steered by
+// generated traces, and orbiting. A change to the render rank or the
+// snapshot message that moves any pixel fails these.
+const std::vector<std::string> kInsituPlain = {
+    "672f3132c4d33ca5e6b6620a16ddbb06ce295e8beea7e5c683b77e93644d7f32",
+    "d248280987f2ed408aaeaa35b31c1bbd686c404b28ddd18aece3dce0c8a6a468",
+    "adee8ba34e3df25edea28267763652f0eaa8ea064d8a493adbaa04f210342737"};
+// Seed 1's trace opens a transfer-function window above every value of
+// this run, so its edited frames are blank; seed 2's trace turns the camera.
+const std::string kBlankFrame =
+    "0a182a88ffcf20dcc892515a01db9af1a707814b982b9c21e1d9b3b4b203ceef";
+const std::vector<std::string> kInsituSteeredSeed1 = {
+    kInsituPlain[0], kBlankFrame, kBlankFrame};
+const std::vector<std::string> kInsituSteeredSeed2 = {
+    "672f3132c4d33ca5e6b6620a16ddbb06ce295e8beea7e5c683b77e93644d7f32",
+    "4b8f8f2313d901e8fc6dd78dea800b8f6c72ea2ea47b165637e77d00e3a18c2e",
+    "cdcf3e10d2cf03f470026f0bf034e97e960ebf10922f46788b316e2b453b65b1"};
+const std::vector<std::string> kInsituOrbit = {
+    "672f3132c4d33ca5e6b6620a16ddbb06ce295e8beea7e5c683b77e93644d7f32",
+    "e97f16b1d5da38ee553650faccd003fe7c2d24e5a09866de5fcbc664d71be5ae",
+    "d82f1170aa2711afc0b7ac6e6017e36778e919d7447c04d98f747af4bb0723cd"};
+
+std::string join(const std::vector<std::string>& shas) {
+  std::string s;
+  for (const auto& h : shas) s += "\n    \"" + h + "\",";
+  return s;
+}
+
+TEST(Insitu, FramesArePinnedForTwoAndThreeRenderers) {
+  auto cfg = small_insitu();
+  cfg.sim_procs = 1;
+  for (int renderers : {2, 3}) {
+    cfg.render_procs = renderers;
+    auto got = insitu_frame_shas(cfg);
+    EXPECT_EQ(got, kInsituPlain) << renderers << " renderers:" << join(got);
+  }
+}
+
+TEST(Insitu, SteeredFramesArePinned) {
+  auto cfg = small_insitu();
+  cfg.steer.enabled = true;
+  for (int renderers : {2, 3}) {
+    cfg.render_procs = renderers;
+    cfg.steer.seed = 1;
+    auto got = insitu_frame_shas(cfg);
+    EXPECT_EQ(got, kInsituSteeredSeed1)
+        << renderers << " renderers, seed 1:" << join(got);
+    cfg.steer.seed = 2;
+    got = insitu_frame_shas(cfg);
+    EXPECT_EQ(got, kInsituSteeredSeed2)
+        << renderers << " renderers, seed 2:" << join(got);
+  }
+  // The camera edits must change what is seen, or the pin shows nothing.
+  for (int s = 1; s < 3; ++s) {
+    EXPECT_NE(kInsituSteeredSeed2[std::size_t(s)], kInsituPlain[std::size_t(s)]);
+    EXPECT_NE(kInsituSteeredSeed2[std::size_t(s)], kBlankFrame);
+  }
+}
+
+TEST(Insitu, OrbitFramesArePinned) {
+  auto cfg = small_insitu();
+  cfg.orbit_deg_per_step = 25.0f;
+  auto got = insitu_frame_shas(cfg);
+  EXPECT_EQ(got, kInsituOrbit) << join(got);
+  for (int s = 1; s < 3; ++s)
+    EXPECT_NE(kInsituOrbit[std::size_t(s)], kInsituPlain[std::size_t(s)]);
+}
+
 TEST(Insitu, ProducesFramesWhileSimulating) {
   auto cfg = small_insitu();
   std::vector<img::Image> frames;
