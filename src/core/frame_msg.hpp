@@ -18,6 +18,9 @@
 
 namespace qv::core {
 
+// Per-step tag of the frame hop (see block_msg_tag in core/block_msg.hpp).
+inline int frame_msg_tag(int step) { return step * 8 + 1; }
+
 inline constexpr std::uint32_t kFrameMsgMagic = 0x4d465651u;  // "QVFM"
 inline constexpr std::uint16_t kFrameMsgVersion = 1;
 

@@ -1,39 +1,22 @@
 #include "core/insitu.hpp"
 
-#include <cstdio>
-#include <cstring>
-#include <map>
 #include <mutex>
 #include <stdexcept>
 
-#include "compositing/slic.hpp"
+#include "core/block_msg.hpp"
 #include "core/frame_msg.hpp"
 #include "core/output.hpp"
+#include "core/render_rank.hpp"
 #include "core/view_schedule.hpp"
-#include "trace/trace.hpp"
-#include "io/block_index.hpp"
 #include "io/preprocess.hpp"
-#include "obs/lineage.hpp"
 #include "quake/parallel_solver.hpp"
-#include "render/order.hpp"
-#include "render/raycast.hpp"
+#include "trace/trace.hpp"
 #include "util/stats.hpp"
 #include "vmpi/comm.hpp"
 
 namespace qv::core {
 
 namespace {
-
-int tag_block(int snap) { return snap * 8 + 0; }
-int tag_frame(int snap) { return snap * 8 + 1; }
-
-struct SnapHeader {
-  std::int32_t snapshot;
-  std::int32_t block;
-  float lo, hi;
-  float sim_time;
-  std::uint32_t count;
-};
 
 struct Shared {
   const InsituConfig& cfg;
@@ -45,11 +28,9 @@ struct Shared {
 // Deterministic decomposition shared by every role.
 struct Setup {
   mesh::HexMesh mesh;
-  std::vector<octree::Block> blocks;
-  std::vector<int> owners;
-  io::BlockNodeIndex index;
   render::TransferFunction tf;
   ViewSchedule views;  // camera + steering fold per snapshot
+  BlockLayout layout;
 
   explicit Setup(const InsituConfig& cfg)
       : mesh(build_insitu_mesh(cfg)),
@@ -57,12 +38,9 @@ struct Setup {
                ? render::TransferFunction::seismic()
                : render::TransferFunction::grayscale()),
         views("insitu", cfg.steer, cfg.snapshots, cfg.render, mesh.domain(),
-              cfg.width, cfg.height, cfg.orbit_deg_per_step) {
-    blocks = octree::decompose(mesh.octree(), cfg.block_level);
-    owners = assign_for_view(blocks, mesh.octree(), views.camera(0),
-                             cfg.render_procs, cfg.assign);
-    index = io::BlockNodeIndex(mesh, blocks);
-  }
+              cfg.width, cfg.height, cfg.orbit_deg_per_step),
+        layout(make_block_layout(mesh, cfg.block_level, views.camera(0),
+                                 cfg.render_procs, cfg.assign)) {}
 };
 
 void run_sim(Shared& sh, const Setup& st, vmpi::Comm& world,
@@ -77,7 +55,7 @@ void run_sim(Shared& sh, const Setup& st, vmpi::Comm& world,
   const bool streamer = sim_comm.rank() == 0;
 
   double sim_seconds = 0.0;
-  double sim_time = 0.0;
+  std::vector<std::uint8_t> values;
   for (int snap = 0; snap < cfg.snapshots; ++snap) {
     WallTimer t;
     {
@@ -85,7 +63,6 @@ void run_sim(Shared& sh, const Setup& st, vmpi::Comm& world,
       for (int k = 0; k < cfg.steps_per_snapshot; ++k) solver.step();
     }
     sim_seconds += t.seconds();
-    sim_time = solver.time();
 
     if (!streamer) continue;  // only the sim group's root streams
     // Preprocess and stream the snapshot to the renderers (monitoring taps
@@ -94,151 +71,55 @@ void run_sim(Shared& sh, const Setup& st, vmpi::Comm& world,
     auto vel = solver.velocity_interleaved();
     auto scalar = io::derive_scalar(vel, 3, cfg.variable);
     auto q = io::quantize(scalar, cfg.render.value_lo, cfg.render.value_hi);
-    std::vector<std::uint8_t> msg;
-    for (std::size_t b = 0; b < st.blocks.size(); ++b) {
-      auto nodes = st.index.block_nodes(b);
-      msg.resize(sizeof(SnapHeader) + nodes.size());
-      SnapHeader hdr{snap,          std::int32_t(b), q.lo, q.hi,
-                     float(solver.time()), std::uint32_t(nodes.size())};
-      std::memcpy(msg.data(), &hdr, sizeof(hdr));
-      for (std::size_t i = 0; i < nodes.size(); ++i) {
-        msg[sizeof(hdr) + i] = q.values[nodes[i]];
-      }
-      world.isend(cfg.sim_procs + st.owners[b], tag_block(snap), msg);
+    for (std::size_t b = 0; b < st.layout.blocks.size(); ++b) {
+      auto nodes = st.layout.index.block_nodes(b);
+      values.resize(nodes.size());
+      for (std::size_t i = 0; i < nodes.size(); ++i)
+        values[i] = q.values[nodes[i]];
+      world.isend(cfg.sim_procs + st.layout.owners[b], block_msg_tag(snap),
+                  make_block_msg(snap, int(b), q.lo, q.hi, values, false));
     }
   }
   if (streamer) {
     std::lock_guard lk(sh.mu);
     sh.report.sim_seconds = sim_seconds;
-    sh.report.sim_time_reached = sim_time;
+    sh.report.sim_time_reached = solver.time();
   }
 }
 
 void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
                 vmpi::Comm& render_comm) {
   const InsituConfig& cfg = sh.cfg;
-  const int rr = render_comm.rank();
-  const int out_rank = cfg.sim_procs + cfg.render_procs;
-
-  std::vector<std::size_t> owned;
-  std::map<int, std::size_t> local_of;
-  for (std::size_t b = 0; b < st.blocks.size(); ++b) {
-    if (st.owners[b] == rr) {
-      local_of[int(b)] = owned.size();
-      owned.push_back(b);
-    }
-  }
-  std::vector<render::RenderBlock> rblocks;
-  std::vector<std::vector<float>> values(owned.size());
-  for (std::size_t i = 0; i < owned.size(); ++i) {
-    rblocks.emplace_back(st.mesh, st.blocks[owned[i]],
-                         st.index.block_nodes(owned[i]));
-    values[i].resize(st.index.block_nodes(owned[i]).size());
-  }
-
-  render::Raycaster rc(st.tf, cfg.render, st.mesh.domain().extent().x);
-  // Steering: a folded TF edit rebuilds the raycaster (the camera is
-  // already refreshed per snapshot below).
-  std::uint32_t steer_epoch = 0;
-  util::ThreadPool render_pool(
-      std::max(1, cfg.render_threads), [rr](int w) {
-        if (!trace::enabled()) return;
-        char tname[32];
-        std::snprintf(tname, sizeof(tname), "render %d.w%d", rr, w);
-        trace::set_thread(1000 + rr * 64 + w, tname);
-      });
-  std::vector<std::uint32_t> rank_of(st.blocks.size());
-
+  // In-situ composites with uncompressed SLIC, the Options defaults.
+  RenderRank::Options opt;
+  opt.width = cfg.width;
+  opt.height = cfg.height;
+  opt.render = cfg.render;
+  opt.render_threads = cfg.render_threads;
+  RenderRank rank(st.mesh, st.layout, st.views, st.tf, opt, world,
+                  render_comm);
+  std::vector<std::uint8_t> msg;
   for (int snap = 0; snap < cfg.snapshots; ++snap) {
-    for (std::size_t k = 0; k < owned.size(); ++k) {
-      std::vector<std::uint8_t> msg;
+    for (std::size_t k = 0; k < rank.owned().size(); ++k) {
       {
         trace::Span wait_span("pipeline", "wait_blocks", snap);
-        world.recv(vmpi::kAnySource, tag_block(snap), msg);
+        world.recv(vmpi::kAnySource, block_msg_tag(snap), msg);
       }
-      SnapHeader hdr;
-      std::memcpy(&hdr, msg.data(), sizeof(hdr));
-      std::size_t li = local_of.at(hdr.block);
-      if (values[li].size() != hdr.count)
-        throw std::runtime_error("insitu: block message size mismatch");
-      const float scale = (hdr.hi - hdr.lo) / 255.0f;
-      for (std::size_t i = 0; i < hdr.count; ++i) {
-        values[li][i] = hdr.lo + scale * float(msg[sizeof(hdr) + i]);
-      }
+      const BlockMsgHeader hdr = block_msg_header(msg);
+      // No fault layer runs in-situ: a bad payload is a bug, not noise.
+      if (!block_payload_ok(hdr, msg))
+        throw std::runtime_error("insitu: corrupt block message");
+      rank.unpack(hdr, msg);
     }
-
-    if (cfg.steer.enabled && st.views.epoch(snap) != steer_epoch) {
-      const stream::SteeringState v = st.views.at(snap);
-      render::RenderOptions opt = cfg.render;
-      opt.value_lo = v.value_lo;
-      opt.value_hi = v.value_hi;
-      rc = render::Raycaster(st.tf, opt, st.mesh.domain().extent().x);
-      steer_epoch = v.epoch;
-    }
-    render::Camera camera = st.views.camera(snap);
-    auto order = render::visibility_order(st.blocks, st.mesh.domain(),
-                                          camera.eye());
-    for (std::size_t i = 0; i < order.size(); ++i)
-      rank_of[order[i]] = std::uint32_t(i);
-
-    std::vector<render::PartialImage> partials;
-    // The view epoch: 0 forever unless steering folds edits in.
-    const std::int64_t render_t0 =
-        obs::lineage::enabled() ? trace::now_since_epoch_ns() : 0;
-    {
-      trace::Span render_span("pipeline", "render", snap);
-      std::vector<std::uint32_t> orders(owned.size());
-      for (std::size_t i = 0; i < owned.size(); ++i) {
-        rblocks[i].set_values(values[i]);
-        orders[i] = rank_of[owned[i]];
-      }
-      partials = render::render_blocks(camera, rc, rblocks, orders,
-                                       &render_pool);
-    }
-    if (obs::lineage::enabled()) {
-      obs::lineage::record_wall(
-          obs::lineage::Stage::kRender, snap, st.views.epoch(snap),
-          obs::lineage::ChannelKind::kRank, world.rank(),
-          double(trace::now_since_epoch_ns() - render_t0) * 1e-9);
-    }
-    compositing::CompositeResult comp;
-    const std::int64_t comp_t0 =
-        obs::lineage::enabled() ? trace::now_since_epoch_ns() : 0;
-    {
-      trace::Span composite_span("pipeline", "composite", snap);
-      comp = compositing::slic(render_comm, partials, cfg.width,
-                               cfg.height, false, 0);
-    }
-    if (obs::lineage::enabled()) {
-      obs::lineage::record_wall(
-          obs::lineage::Stage::kComposite, snap, st.views.epoch(snap),
-          obs::lineage::ChannelKind::kRank, world.rank(),
-          double(trace::now_since_epoch_ns() - comp_t0) * 1e-9);
-    }
-    if (rr == 0) {
-      world.isend(out_rank, tag_frame(snap),
-                  make_frame_msg(snap, false, comp.image.pixels()));
-    }
+    rank.step(snap, st.views.epoch(snap), false);
   }
 }
 
 void run_output(Shared& sh, const Setup& st, vmpi::Comm& world) {
   const InsituConfig& cfg = sh.cfg;
-  OutputSink sink(cfg, "insitu_", world.rank(), sh.frames_out);
-  for (int snap = 0; snap < cfg.snapshots; ++snap) {
-    std::vector<std::uint8_t> msg;
-    {
-      trace::Span wait_span("pipeline", "wait_frame", snap);
-      world.recv(vmpi::kAnySource, tag_frame(snap), msg);
-    }
-    sink.begin(snap, st.views.epoch(snap));
-    img::Image frame(cfg.width, cfg.height);
-    auto view = parse_frame_msg(msg, frame.pixels().size());
-    if (!view) throw std::runtime_error("insitu: bad frame message");
-    std::memcpy(frame.pixels().data(), view->pixels.data(),
-                view->pixels.size_bytes());
-    sink.emit(std::move(frame));
-  }
+  OutputSink sink(cfg, "insitu_", world, sh.frames_out);
+  for (int snap = 0; snap < cfg.snapshots; ++snap)
+    sink.emit(sink.receive(snap, st.views.epoch(snap)));
   OutputSink::Report out = sink.finish();
   std::lock_guard lk(sh.mu);
   sh.report.frame_seconds = std::move(out.frame_seconds);
@@ -268,21 +149,9 @@ InsituReport run_insitu(const InsituConfig& config,
 
   vmpi::Runtime::run(config.world_size(), [&sh, &config](vmpi::Comm& world) {
     Setup st(config);
-    const int r = world.rank();
-    const int role = r < config.sim_procs
-                         ? 0
-                         : (r < config.sim_procs + config.render_procs ? 1 : 2);
-    if (trace::enabled()) {
-      char tname[32];
-      if (role == 0)
-        std::snprintf(tname, sizeof(tname), "sim %d", r);
-      else if (role == 1)
-        std::snprintf(tname, sizeof(tname), "render %d", r - config.sim_procs);
-      else
-        std::snprintf(tname, sizeof(tname), "output");
-      trace::set_thread(r, tname);
-    }
-    vmpi::Comm sub = world.split(role, r);
+    const int role =
+        driver_role(world, config.sim_procs, config.render_procs, "sim");
+    vmpi::Comm sub = world.split(role, world.rank());
     world.barrier();
     switch (role) {
       case 0:

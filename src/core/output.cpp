@@ -1,7 +1,10 @@
 #include "core/output.hpp"
 
 #include <cstdio>
+#include <cstring>
+#include <stdexcept>
 
+#include "core/frame_msg.hpp"
 #include "obs/lineage.hpp"
 
 namespace qv::core {
@@ -9,16 +12,35 @@ namespace qv::core {
 OutputSink::OutputSink(int width, int height, std::string ppm_path,
                        const stream::StreamConfig& stream,
                        const stream::ServeFleetConfig& serve, bool steering,
-                       int rank, std::vector<img::Image>* frames_out)
-    : ppm_path_(std::move(ppm_path)),
+                       vmpi::Comm& world, std::vector<img::Image>* frames_out)
+    : width_(width),
+      height_(height),
+      ppm_path_(std::move(ppm_path)),
       steering_(steering),
-      rank_(rank),
+      world_(world),
       frames_out_(frames_out) {
   if (stream.enabled) session_.emplace(stream, width, height);
   if (serve.enabled && serve.count > 0) {
     server_.emplace(serve.server, width, height);
     for (const auto& lc : stream::make_fleet(serve)) server_->join(0.0, lc);
   }
+}
+
+img::Image OutputSink::receive(int step, std::uint32_t epoch,
+                               bool* degraded) {
+  std::vector<std::uint8_t> msg;
+  {
+    trace::Span wait_span("pipeline", "wait_frame", step);
+    world_.recv(vmpi::kAnySource, frame_msg_tag(step), msg);
+  }
+  begin(step, epoch);
+  img::Image frame(width_, height_);
+  auto view = parse_frame_msg(msg, frame.pixels().size());
+  if (!view) throw std::runtime_error("output: bad frame message");
+  std::memcpy(frame.pixels().data(), view->pixels.data(),
+              view->pixels.size_bytes());
+  if (degraded) *degraded = view->degraded;
+  return frame;
 }
 
 void OutputSink::begin(int step, std::uint32_t epoch) {
@@ -43,7 +65,7 @@ void OutputSink::begin(int step, std::uint32_t epoch) {
   // request_id -> first-serving-step for the flight recorder.
   if (obs::lineage::enabled())
     obs::lineage::record_wall(obs::lineage::Stage::kSteerApply, step, epoch,
-                              obs::lineage::ChannelKind::kRank, rank_);
+                              obs::lineage::ChannelKind::kRank, world_.rank());
 }
 
 void OutputSink::emit(img::Image frame) {
@@ -61,7 +83,7 @@ void OutputSink::emit(img::Image frame) {
   if (obs::lineage::enabled()) {
     obs::lineage::record_wall(
         obs::lineage::Stage::kFrame, step_, epoch_,
-        obs::lineage::ChannelKind::kRank, rank_,
+        obs::lineage::ChannelKind::kRank, world_.rank(),
         double(trace::now_since_epoch_ns() - t0_ns_) * 1e-9);
   }
   if (frames_out_) frames_out_->push_back(std::move(frame));

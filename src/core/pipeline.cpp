@@ -1,7 +1,7 @@
 #include "core/pipeline.hpp"
 
+#include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -9,26 +9,19 @@
 #include <optional>
 #include <stdexcept>
 
-#include "compositing/binary_swap.hpp"
-#include "compositing/radix_k.hpp"
-#include "compositing/direct_send.hpp"
-#include "compositing/slic.hpp"
+#include "core/block_msg.hpp"
 #include "core/frame_msg.hpp"
 #include "core/ground_overlay.hpp"
 #include "core/output.hpp"
+#include "core/render_rank.hpp"
 #include "core/view_schedule.hpp"
 #include "img/image.hpp"
 #include "io/block_index.hpp"
-#include "io/codec.hpp"
 #include "io/dataset.hpp"
 #include "io/preprocess.hpp"
 #include "lic/lic.hpp"
 #include "metrics/metrics.hpp"
-#include "obs/lineage.hpp"
-#include "render/order.hpp"
-#include "render/raycast.hpp"
 #include "trace/trace.hpp"
-#include "util/crc32.hpp"
 #include "util/stats.hpp"
 #include "vmpi/comm.hpp"
 #include "vmpi/file.hpp"
@@ -37,165 +30,25 @@ namespace qv::core {
 
 namespace {
 
-// Per-step message tags: step * 8 + kind keeps the spaces disjoint.
-// (Epoch-indexed assignment messages reuse the same scheme with kind 3.)
-// Every per-step tag is ≡ 0..3 (mod 8), so the constant control tags 4 and
-// 5 can never collide with them.
-int tag_block(int step) { return step * 8 + 0; }
-int tag_frame(int step) { return step * 8 + 1; }
+// Per-step message tags are step * 8 + kind: block data (kind 0, see
+// core/block_msg.hpp) and frames (kind 1, core/frame_msg.hpp) plus the LIC
+// texture (2) and, per epoch, the rebalanced assignment (3). Every per-step
+// tag is ≡ 0..3 (mod 8), so the constant control tags 4 and 5 can never
+// collide with them.
 int tag_lic(int step) { return step * 8 + 2; }
 int tag_assign(int epoch) { return epoch * 8 + 3; }
 constexpr int kTagNack = 4;  // renderer -> input: resend a corrupt payload
 constexpr int kTagDone = 5;  // renderer -> input: no more NACKs will come
 
-constexpr std::uint8_t kFlagStepSkipped = 1;  // fetch failed; reuse old data
 // Re-requests per renderer per step before giving up on fresh data. Bounds
 // the worst case (every resend corrupted again) instead of looping forever.
 constexpr int kMaxNacksPerStep = 4;
-
-struct BlockMsgHeader {
-  std::int32_t step;
-  std::int32_t block;
-  float lo, hi;          // quantization range
-  std::uint32_t count;   // quantized value count
-  std::uint32_t payload; // bytes that follow (== count when uncompressed)
-  std::uint32_t crc;     // CRC-32 of the payload bytes
-  std::uint8_t compressed;
-  std::uint8_t flags;    // kFlagStepSkipped
-  std::uint8_t pad[2];
-};
-
-struct SliceMsgHeader {
-  std::int32_t step;
-  std::int32_t member;
-  float lo, hi;
-  std::uint32_t count;
-  std::uint32_t payload;
-  std::uint32_t crc;
-  std::uint8_t compressed;
-  std::uint8_t flags;
-  std::uint8_t pad[2];
-};
-
-// The fault layer never corrupts the first FaultPlan::corrupt_offset_min
-// (default 32) bytes of a message — the trusted-header model. Both data
-// headers must fit in that prefix so step/block routing and the CRC itself
-// survive, which is what lets a renderer address its NACK.
-static_assert(sizeof(BlockMsgHeader) == 32);
-static_assert(sizeof(SliceMsgHeader) == 32);
-
-// (The render root -> output processor frame hop uses the shared
-// make_frame_msg/parse_frame_msg helper from core/frame_msg.hpp.)
 
 // Renderer -> input (kTagNack): please resend.
 struct NackMsg {
   std::int32_t step;
   std::int32_t block;  // global block id, or -1 for a 2DIP slice message
 };
-
-// Append `values` to `msg` after its header, RLE-compressed when that wins
-// and `allow` is set. Fills payload/compressed in the header at `hdr_pos`.
-template <typename Header>
-void pack_values(std::vector<std::uint8_t>& msg, std::size_t hdr_pos,
-                 std::span<const std::uint8_t> values, bool allow,
-                 std::uint64_t* raw_bytes, std::uint64_t* sent_bytes) {
-  std::size_t payload_pos = msg.size();
-  bool compressed = false;
-  if (allow) {
-    io::rle8_encode(values, msg);
-    if (msg.size() - payload_pos < values.size()) {
-      compressed = true;
-    } else {
-      msg.resize(payload_pos);  // compression did not pay off
-    }
-  }
-  if (!compressed) {
-    msg.insert(msg.end(), values.begin(), values.end());
-  }
-  Header hdr;
-  std::memcpy(&hdr, msg.data() + hdr_pos, sizeof(hdr));
-  hdr.payload = std::uint32_t(msg.size() - payload_pos);
-  hdr.compressed = compressed ? 1 : 0;
-  hdr.crc = util::crc32({msg.data() + payload_pos, msg.size() - payload_pos});
-  std::memcpy(msg.data() + hdr_pos, &hdr, sizeof(hdr));
-  if (raw_bytes) *raw_bytes += values.size();
-  if (sent_bytes) *sent_bytes += msg.size() - payload_pos;
-}
-
-// Does the payload match its framing checksum?
-template <typename Header>
-bool payload_ok(const Header& hdr, std::span<const std::uint8_t> msg) {
-  if (msg.size() != sizeof(Header) + hdr.payload) return false;
-  return util::crc32(msg.subspan(sizeof(Header))) == hdr.crc;
-}
-
-std::vector<std::uint8_t> make_block_msg(int step, std::size_t block, float lo,
-                                         float hi,
-                                         std::span<const std::uint8_t> values,
-                                         bool compress, std::uint64_t* raw,
-                                         std::uint64_t* sent) {
-  std::vector<std::uint8_t> msg(sizeof(BlockMsgHeader));
-  BlockMsgHeader hdr{step, std::int32_t(block),        lo, hi,
-                     std::uint32_t(values.size()), 0,  0,  0,
-                     0,    {}};
-  std::memcpy(msg.data(), &hdr, sizeof(hdr));
-  pack_values<BlockMsgHeader>(msg, 0, values, compress, raw, sent);
-  return msg;
-}
-
-std::vector<std::uint8_t> make_slice_msg(int step, int member, float lo,
-                                         float hi,
-                                         std::span<const std::uint8_t> values,
-                                         bool compress, std::uint64_t* raw,
-                                         std::uint64_t* sent) {
-  std::vector<std::uint8_t> msg(sizeof(SliceMsgHeader));
-  SliceMsgHeader hdr{step, member,                       lo, hi,
-                     std::uint32_t(values.size()), 0,   0,  0,
-                     0,    {}};
-  std::memcpy(msg.data(), &hdr, sizeof(hdr));
-  pack_values<SliceMsgHeader>(msg, 0, values, compress, raw, sent);
-  return msg;
-}
-
-// Header-only "this step's data is not coming" marker.
-std::vector<std::uint8_t> make_skip_block_msg(int step, std::int32_t block = -1) {
-  BlockMsgHeader hdr{};
-  hdr.step = step;
-  hdr.block = block;
-  hdr.flags = kFlagStepSkipped;
-  std::vector<std::uint8_t> msg(sizeof(hdr));
-  std::memcpy(msg.data(), &hdr, sizeof(hdr));
-  return msg;
-}
-
-std::vector<std::uint8_t> make_skip_slice_msg(int step, int member) {
-  SliceMsgHeader hdr{};
-  hdr.step = step;
-  hdr.member = member;
-  hdr.flags = kFlagStepSkipped;
-  std::vector<std::uint8_t> msg(sizeof(hdr));
-  std::memcpy(msg.data(), &hdr, sizeof(hdr));
-  return msg;
-}
-
-// Dequantize a header's payload into `dst` through `scatter(i, value)`.
-template <typename Header, typename Fn>
-void unpack_values(const Header& hdr, std::span<const std::uint8_t> msg,
-                   std::vector<std::uint8_t>& scratch, Fn&& store) {
-  std::span<const std::uint8_t> values;
-  if (hdr.compressed) {
-    scratch.resize(hdr.count);
-    if (!io::rle8_decode(msg, sizeof(Header), scratch))
-      throw std::runtime_error("pipeline: corrupt compressed block payload");
-    values = scratch;
-  } else {
-    values = msg.subspan(sizeof(Header), hdr.count);
-  }
-  const float scale = (hdr.hi - hdr.lo) / 255.0f;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    store(i, hdr.lo + scale * float(values[i]));
-  }
-}
 
 // Stats shared across the rank threads (joined before run_pipeline returns).
 // Only the wall-time accumulators live here now; every event COUNT moved to
@@ -245,12 +98,10 @@ struct Setup {
   io::DatasetReader reader;
   int level;
   const mesh::HexMesh* mesh;
-  std::vector<octree::Block> blocks;
-  std::vector<int> owners;  // initial block -> render proc assignment
-  io::BlockNodeIndex index;
   render::TransferFunction tf;
   int num_steps;
   ViewSchedule views;  // camera + steering fold per step
+  BlockLayout layout;  // blocks, initial owners, per-block node lists
 
   explicit Setup(const PipelineConfig& config)
       : cfg(config),
@@ -268,12 +119,9 @@ struct Setup {
                       : std::min(config.num_steps, reader.meta().num_steps)),
         views("pipeline", config.steer, num_steps, config.render,
               reader.meta().domain, config.width, config.height,
-              config.orbit_deg_per_step) {
-    blocks = octree::decompose(mesh->octree(), cfg.block_level);
-    owners = assign_for_view(blocks, mesh->octree(), views.camera(0),
-                             cfg.render_procs, cfg.assign);
-    index = io::BlockNodeIndex(*mesh, blocks);
-  }
+              config.orbit_deg_per_step),
+        layout(make_block_layout(*mesh, config.block_level, views.camera(0),
+                                 config.render_procs, config.assign)) {}
 
   // Steering and rebalancing both own the view epoch (run_pipeline rejects
   // enabling both).
@@ -282,6 +130,7 @@ struct Setup {
     return cfg.rebalance_every > 0 ? step / cfg.rebalance_every : 0;
   }
 
+  int components() const { return reader.meta().components; }
   std::uint64_t level_offset() const { return reader.level_offset_bytes(level); }
   std::uint64_t level_floats() const {
     return reader.level_bytes(level) / sizeof(float);
@@ -325,41 +174,114 @@ struct InputStats {
   }
 };
 
-// Ship per-block quantized values to the renderers under the given
-// assignment (1DIP and 2DIP-collective use the same message format).
-void send_blocks(vmpi::Comm& world, Shared& sh, const Setup& st, int step,
-                 const io::QuantizedField& q,
-                 std::span<const std::size_t> block_ids,
-                 std::span<const int> owners) {
-  const PipelineConfig& cfg = sh.config;
-  const int I = cfg.total_input_procs();
+// The interleaved records of one step and, under temporal enhancement
+// (§4.2), of its neighbours; read(step) fetches one step's records.
+struct StepRecords {
+  std::vector<float> cur, prev, next;
+};
+
+template <typename Read>
+StepRecords read_step_records(const Setup& st, int s, Read&& read) {
+  StepRecords r;
+  r.cur = read(s);
+  if (st.cfg.enhancement) {
+    if (s > 0) r.prev = read(s - 1);
+    if (s + 1 < st.reader.meta().num_steps) r.next = read(s + 1);
+  }
+  return r;
+}
+
+// The records at node positions `pos` of `records`, in that order.
+std::vector<float> gather_records(std::span<const float> records,
+                                  std::span<const mesh::NodeId> pos,
+                                  int comps) {
+  const std::size_t c = std::size_t(comps);
+  std::vector<float> out(pos.size() * c);
+  for (std::size_t i = 0; i < pos.size(); ++i)
+    std::copy_n(records.begin() + std::ptrdiff_t(pos[i] * c), c,
+                out.begin() + std::ptrdiff_t(i * c));
+  return out;
+}
+
+// Scalar derivation from interleaved records, with optional temporal
+// enhancement from the neighbour steps. Per node, so a subset of the
+// records yields the same subset of the scalar.
+std::vector<float> make_scalar(const Setup& st, const StepRecords& r) {
+  const PipelineConfig& cfg = st.cfg;
+  const int comps = st.components();
+  auto scalar = io::derive_scalar(r.cur, comps, cfg.variable);
+  if (!cfg.enhancement) return scalar;
+  std::vector<float> pm, nm;
+  if (!r.prev.empty()) pm = io::derive_scalar(r.prev, comps, cfg.variable);
+  if (!r.next.empty()) nm = io::derive_scalar(r.next, comps, cfg.variable);
+  return io::temporal_enhance(scalar, pm, nm, cfg.enhancement_gain);
+}
+
+// One block message an input rank ships each step: to world rank `dest`,
+// named `id` (the block; the member for 2DIP-independent), carrying the
+// quantized values at positions `pos` of the rank's field.
+struct Route {
+  int dest;
+  int id;
+  std::span<const mesh::NodeId> pos;
+};
+
+void send_blocks(vmpi::Comm& world, const Setup& st, int step,
+                 const io::QuantizedField& q, std::span<const Route> routes) {
   std::vector<std::uint8_t> values;
   std::uint64_t raw = 0, sent = 0;
-  for (std::size_t b : block_ids) {
-    auto nodes = st.index.block_nodes(b);
-    values.resize(nodes.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i) values[i] = q.values[nodes[i]];
-    world.isend(I + owners[b], tag_block(step),
-                make_block_msg(step, b, q.lo, q.hi, values, cfg.compress_blocks,
-                               &raw, &sent));
+  for (const Route& r : routes) {
+    values.resize(r.pos.size());
+    for (std::size_t i = 0; i < r.pos.size(); ++i) values[i] = q.values[r.pos[i]];
+    world.isend(r.dest, block_msg_tag(step),
+                make_block_msg(step, r.id, q.lo, q.hi, values,
+                               st.cfg.compress_blocks, &raw, &sent));
   }
   pipe_counters().block_bytes_raw.add(raw);
   pipe_counters().block_bytes_sent.add(sent);
 }
 
-// Scalar derivation from interleaved records, with optional temporal
-// enhancement from neighbor-step buffers.
-std::vector<float> make_scalar(const PipelineConfig& cfg, const Setup& st,
-                               std::span<const float> cur,
-                               std::span<const float> prev,
-                               std::span<const float> next) {
-  const int comps = st.reader.meta().components;
-  auto scalar = io::derive_scalar(cur, comps, cfg.variable);
-  if (!cfg.enhancement) return scalar;
-  std::vector<float> pm, nm;
-  if (!prev.empty()) pm = io::derive_scalar(prev, comps, cfg.variable);
-  if (!next.empty()) nm = io::derive_scalar(next, comps, cfg.variable);
-  return io::temporal_enhance(scalar, pm, nm, cfg.enhancement_gain);
+// A permanent fetch failure: one skip marker to each renderer expecting
+// data from this rank, so nobody blocks on data that will never come; they
+// will repeat the previous step's frame.
+void send_skips(vmpi::Comm& world, int step, std::span<const Route> routes,
+                int skip_id) {
+  std::vector<int> dests;
+  for (const Route& r : routes) dests.push_back(r.dest);
+  std::sort(dests.begin(), dests.end());
+  dests.erase(std::unique(dests.begin(), dests.end()), dests.end());
+  for (int d : dests)
+    world.isend(d, block_msg_tag(step), make_skip_block_msg(step, skip_id));
+}
+
+// Quantization range of every step an input rank shipped: a NACK
+// regeneration must reuse it to be bit-identical when the range was
+// auto-derived.
+using SentRanges = std::map<int, std::pair<float, float>>;
+
+// Answer a NACK for message `id` of step `rs` with a bit-identical
+// regeneration: the records read(step) returns, in message order,
+// quantized with the step's shipped range. A negative id, a step that
+// never shipped, or data that is gone for good (the renderer then keeps
+// its stale copy) is answered with a skip marker carrying `skip_id`. Must
+// not throw.
+template <typename Read>
+void resend(vmpi::Comm& world, const Setup& st, const SentRanges& ranges,
+            int rs, int id, int skip_id, int requester, Read&& read) {
+  auto range = ranges.find(rs);
+  if (id >= 0 && range != ranges.end()) {
+    try {
+      auto q = io::quantize(make_scalar(st, read_step_records(st, rs, read)),
+                            range->second.first, range->second.second);
+      world.isend(requester, block_msg_tag(rs),
+                  make_block_msg(rs, id, q.lo, q.hi, q.values,
+                                 st.cfg.compress_blocks));
+      return;
+    } catch (const vmpi::IoError&) {
+      // Gone for good: the renderer keeps its stale copy.
+    }
+  }
+  world.isend(requester, block_msg_tag(rs), make_skip_block_msg(rs, skip_id));
 }
 
 // The surface LIC of one step (§4.3). `lic` holds everything static across
@@ -433,357 +355,185 @@ struct InputControl {
   }
 };
 
-void run_input_1dip(Shared& sh, const Setup& st, vmpi::Comm& world,
-                    int input_index) {
-  const PipelineConfig& cfg = sh.config;
-  const int m = cfg.input_procs;
-  const int I = cfg.total_input_procs();
-  std::optional<lic::SurfaceLic> lic;
-  std::vector<std::size_t> all_blocks(st.blocks.size());
-  for (std::size_t b = 0; b < all_blocks.size(); ++b) all_blocks[b] = b;
-
-  std::vector<int> owners = st.owners;
-  int cur_epoch = 0;
-
-  InputStats acc(sh);
-  // Quantization range of every step this rank shipped: NACK regeneration
-  // must reuse it to be bit-identical when the range was auto-derived.
-  std::map<int, std::pair<float, float>> sent_range;
-
-  auto read_step = [&](int s, std::vector<float>& cur, std::vector<float>& prev,
-                       std::vector<float>& next) {
-    cur = read_level_at(world, st, st.reader.step_path(s), 0,
-                        st.level_floats());
-    if (cfg.enhancement) {
-      if (s > 0)
-        prev = read_level_at(world, st, st.reader.step_path(s - 1), 0,
-                             st.level_floats());
-      if (s + 1 < st.reader.meta().num_steps)
-        next = read_level_at(world, st, st.reader.step_path(s + 1), 0,
-                             st.level_floats());
+// One input step: fetch the step's records with read(step), preprocess
+// them (quantize, plus the surface LIC when `lic` is set) and ship them
+// along `routes`. A permanent fetch failure ships skip markers carrying
+// `skip_id` instead. Records the step's quantization range in `sent`.
+template <typename Read>
+void input_step(vmpi::Comm& world, const Setup& st, InputStats& acc, int s,
+                Read&& read, std::span<const Route> routes, int skip_id,
+                SentRanges& sent, std::optional<lic::SurfaceLic>* lic) {
+  WallTimer t;
+  std::optional<StepRecords> recs;
+  pipe_counters().input_attempted.add();
+  {
+    trace::Span fetch_span("pipeline", "fetch", s);
+    try {
+      recs = read_step_records(st, s, read);
+    } catch (const vmpi::IoError&) {
+      // Permanent failure after retries. Under 2DIP-collective read_all
+      // aborts on every group member together, so each renderer still
+      // receives exactly one skip marker.
     }
-  };
-
-  InputControl ctl{world, [&](int rs, int block, int requester) {
-                     auto range = sent_range.find(rs);
-                     if (block < 0 || range == sent_range.end()) {
-                       world.isend(requester, tag_block(rs),
-                                   make_skip_block_msg(rs));
-                       return;
-                     }
-                     try {
-                       std::vector<float> cur, prev, next;
-                       read_step(rs, cur, prev, next);
-                       auto scalar = make_scalar(cfg, st, cur, prev, next);
-                       auto q = io::quantize(scalar, range->second.first,
-                                             range->second.second);
-                       auto nodes = st.index.block_nodes(std::size_t(block));
-                       std::vector<std::uint8_t> values(nodes.size());
-                       for (std::size_t i = 0; i < nodes.size(); ++i)
-                         values[i] = q.values[nodes[i]];
-                       world.isend(requester, tag_block(rs),
-                                   make_block_msg(rs, std::size_t(block), q.lo,
-                                                  q.hi, values,
-                                                  cfg.compress_blocks, nullptr,
-                                                  nullptr));
-                     } catch (const vmpi::IoError&) {
-                       // The data is gone for good; the renderer falls back
-                       // to its stale copy.
-                       world.isend(requester, tag_block(rs),
-                                   make_skip_block_msg(rs));
-                     }
-                   }};
-
-  for (int s = input_index; s < st.num_steps; s += m) {
-    world.fault_checkpoint(s);
-    // Dynamic redistribution: pick up the assignment of this step's epoch
-    // (the render group publishes one per epoch boundary). Rebalance epochs
-    // only — steering epochs never reassign blocks.
-    while (cfg.rebalance_every > 0 && st.epoch_of(s) > cur_epoch) {
-      ++cur_epoch;
-      owners = ctl.await_assignment(cur_epoch);
-    }
-
-    WallTimer t;
-    std::vector<float> cur, prev, next;
-    bool fetched = true;
-    pipe_counters().input_attempted.add();
-    {
-      trace::Span fetch_span("pipeline", "fetch", s);
-      try {
-        read_step(s, cur, prev, next);
-      } catch (const vmpi::IoError&) {
-        fetched = false;
-      }
-    }
-    acc.fetch += t.seconds();
-    t.reset();
-    if (!fetched) {
-      // Permanent fetch failure after retries: one skip marker to each
-      // renderer expecting data from me, so nobody blocks on data that will
-      // never come; they will repeat the previous step's frame.
-      std::vector<char> serves(std::size_t(cfg.render_procs), 0);
-      for (int owner : owners) serves[std::size_t(owner)] = 1;
-      for (int r = 0; r < cfg.render_procs; ++r)
-        if (serves[std::size_t(r)])
-          world.isend(I + r, tag_block(s), make_skip_block_msg(s));
-      continue;
-    }
-    io::QuantizedField q;
-    {
-      trace::Span prep_span("pipeline", "preprocess", s);
-      auto scalar = make_scalar(cfg, st, cur, prev, next);
-      q = io::quantize(scalar, cfg.render.value_lo, cfg.render.value_hi);
-      sent_range[s] = {q.lo, q.hi};
-      if (cfg.lic_overlay) input_lic(world, cfg, st, s, cur, lic);
-    }
-    acc.preprocess += t.seconds();
-    t.reset();
-    {
-      trace::Span send_span("pipeline", "send_blocks", s);
-      send_blocks(world, sh, st, s, q, all_blocks, owners);
-    }
-    acc.send += t.seconds();
-    pipe_counters().input_completed.add();
   }
-  ctl.drain_until_done(cfg.render_procs);
+  acc.fetch += t.seconds();
+  t.reset();
+  if (!recs) {
+    send_skips(world, s, routes, skip_id);
+    return;
+  }
+  io::QuantizedField q;
+  {
+    trace::Span prep_span("pipeline", "preprocess", s);
+    q = io::quantize(make_scalar(st, *recs), st.cfg.render.value_lo,
+                     st.cfg.render.value_hi);
+    sent[s] = {q.lo, q.hi};
+    if (lic) input_lic(world, st.cfg, st, s, recs->cur, *lic);
+  }
+  acc.preprocess += t.seconds();
+  t.reset();
+  {
+    trace::Span send_span("pipeline", "send_blocks", s);
+    send_blocks(world, st, s, q, routes);
+  }
+  acc.send += t.seconds();
+  pipe_counters().input_completed.add();
 }
 
-// 2DIP group member. `group_comm` spans the m members of this group.
-void run_input_2dip(Shared& sh, const Setup& st, vmpi::Comm& world,
-                    vmpi::Comm& group_comm, int group) {
+// An input processor. 1DIP ranks (no `group_comm`) read whole steps
+// round-robin and send every block to its owner. A 2DIP group member
+// (`group_comm` spans the m members of its group) reads its share of its
+// group's steps: collectively the merged nodes of the renderers it serves
+// (§5.3.1), or independently a contiguous slice it forwards to every
+// renderer (§5.3.2).
+void run_input(Shared& sh, const Setup& st, vmpi::Comm& world,
+               vmpi::Comm* group_comm) {
   const PipelineConfig& cfg = sh.config;
-  const int n = cfg.groups;
+  const int I = cfg.total_input_procs();
   const int m = cfg.input_procs;
-  const int mi = group_comm.rank();
-  const int comps = st.reader.meta().components;
-  const bool collective = cfg.strategy == IoStrategy::kTwoDipCollective;
-
+  const int comps = st.components();
+  const BlockLayout& lay = st.layout;
   InputStats acc(sh);
+  SentRanges sent_range;
+  std::optional<lic::SurfaceLic> lic;
 
-  // --- static request patterns (computed once; the mesh never changes) ----
-  // Collective: this member serves render procs {r : r % m == mi}; its view
-  // is their merged node list.
-  std::vector<std::size_t> my_blocks;
+  const bool independent = cfg.strategy == IoStrategy::kTwoDipIndependent;
+  const int mi = group_comm ? group_comm->rank() : 0;  // member index
+  const int first = group_comm ? world.rank() / m : world.rank();
+  const int stride = group_comm ? cfg.groups : m;
+
+  // Static request patterns and routes (the mesh never changes), the step
+  // reader, and the NACK service.
+  std::vector<Route> routes;
+  std::function<std::vector<float>(int)> read;
+  std::function<void(int, int, int)> nack;
+  // Every block goes to its owner; 1DIP redoes this per rebalance epoch.
+  auto route_to = [&](const std::vector<int>& owners) {
+    routes.clear();
+    for (std::size_t b = 0; b < owners.size(); ++b)
+      routes.push_back({I + owners[b], int(b), lay.index.block_nodes(b)});
+  };
+  // 2DIP-collective: the merged node list of the renderers this member
+  // serves ({r : r % m == mi}) and each block's positions within it.
   std::vector<mesh::NodeId> my_nodes;
+  std::vector<std::vector<mesh::NodeId>> block_pos;
   vmpi::IndexedBlockView view;
-  // node id -> position within my_nodes (for per-block extraction).
-  std::map<mesh::NodeId, std::uint32_t> node_pos;
-  // Independent: my contiguous slice and its forwarding map.
-  mesh::NodeId slice_lo = 0, slice_hi = 0;
-  // Per render proc: ordered value positions within my slice.
-  std::vector<std::vector<std::uint32_t>> fwd_slice_pos(
+  // 2DIP-independent: per renderer, the positions of its values within my
+  // slice, in forward-map order.
+  std::vector<std::vector<mesh::NodeId>> slice_pos(
       std::size_t(cfg.render_procs));
 
-  if (collective) {
-    for (std::size_t b = 0; b < st.blocks.size(); ++b) {
-      if (st.owners[b] % m == mi) my_blocks.push_back(b);
+  if (!group_comm) {
+    route_to(lay.owners);
+    read = [&](int step_id) {
+      return read_level_at(world, st, st.reader.step_path(step_id), 0,
+                           st.level_floats());
+    };
+    nack = [&](int rs, int block, int requester) {
+      resend(world, st, sent_range, rs, block, -1, requester, [&](int step_id) {
+        return gather_records(read(step_id),
+                              lay.index.block_nodes(std::size_t(block)), comps);
+      });
+    };
+  } else if (!independent) {
+    std::vector<std::size_t> my_blocks;
+    for (std::size_t b = 0; b < lay.blocks.size(); ++b)
+      if (lay.owners[b] % m == mi) my_blocks.push_back(b);
+    my_nodes = io::merged_nodes(lay.index, my_blocks);
+    for (std::size_t b : my_blocks) {
+      auto nodes = lay.index.block_nodes(b);
+      auto& pos = block_pos.emplace_back(nodes.size());
+      // my_nodes is sorted, so each node's position is a binary search.
+      for (std::size_t i = 0; i < nodes.size(); ++i)
+        pos[i] = mesh::NodeId(
+            std::lower_bound(my_nodes.begin(), my_nodes.end(), nodes[i]) -
+            my_nodes.begin());
     }
-    my_nodes = io::merged_nodes(st.index, my_blocks);
-    for (std::uint32_t i = 0; i < my_nodes.size(); ++i)
-      node_pos[my_nodes[i]] = i;
+    for (std::size_t k = 0; k < my_blocks.size(); ++k)
+      routes.push_back({I + lay.owners[my_blocks[k]], int(my_blocks[k]),
+                        block_pos[k]});
     view.elem_bytes = std::size_t(comps) * sizeof(float);
     view.block_elems = 1;
     std::uint64_t base_elems = st.level_offset() / view.elem_bytes;
     for (auto nid : my_nodes) view.block_offsets.push_back(base_elems + nid);
+    read = [&](int step_id) {
+      vmpi::File f(*group_comm, st.reader.step_path(step_id));
+      f.set_retry_policy(cfg.io_retry);
+      f.set_view(view);
+      std::vector<float> data(my_nodes.size() * std::size_t(comps));
+      f.read_all({reinterpret_cast<std::uint8_t*>(data.data()),
+                  data.size() * sizeof(float)});
+      return data;
+    };
+    // The resend path must never enter a collective read (the rest of the
+    // group is not listening), so it reads the block's nodes one by one.
+    nack = [&](int rs, int block, int requester) {
+      resend(world, st, sent_range, rs, block, -1, requester, [&](int step_id) {
+        auto nodes = lay.index.block_nodes(std::size_t(block));
+        vmpi::File f(world, st.reader.step_path(step_id));
+        f.set_retry_policy(cfg.io_retry);
+        const std::size_t rec = std::size_t(comps) * sizeof(float);
+        std::vector<float> data(nodes.size() * std::size_t(comps));
+        auto* out = reinterpret_cast<std::uint8_t*>(data.data());
+        for (std::size_t i = 0; i < nodes.size(); ++i)
+          f.read_at(st.level_offset() + nodes[i] * rec, {out + i * rec, rec});
+        return data;
+      });
+    };
   } else {
     auto [lo, hi] = io::slice_bounds(st.level_floats() / std::size_t(comps),
                                      mi, m);
-    slice_lo = lo;
-    slice_hi = hi;
-    auto entries = io::build_forward_map(st.index, lo, hi);
-    // entries are grouped by block ascending then block_pos; split by owner.
-    for (const auto& e : entries) {
-      fwd_slice_pos[std::size_t(st.owners[e.block])].push_back(e.slice_pos);
-    }
+    // Entries are grouped by block ascending then block_pos; split by owner.
+    for (const auto& e : io::build_forward_map(lay.index, lo, hi))
+      slice_pos[std::size_t(lay.owners[e.block])].push_back(e.slice_pos);
+    for (int r = 0; r < cfg.render_procs; ++r)
+      routes.push_back({I + r, mi, slice_pos[std::size_t(r)]});
+    read = [&, lo = lo, hi = hi](int step_id) {
+      return read_level_at(world, st, st.reader.step_path(step_id),
+                           std::uint64_t(lo) * std::uint64_t(comps),
+                           std::uint64_t(hi - lo) * std::uint64_t(comps));
+    };
+    nack = [&](int rs, int, int requester) {
+      resend(world, st, sent_range, rs, mi, mi, requester, [&](int step_id) {
+        return gather_records(read(step_id),
+                              slice_pos[std::size_t(requester - I)], comps);
+      });
+    };
   }
 
-  const int I = cfg.total_input_procs();
-  std::map<int, std::pair<float, float>> sent_range;
-
-  // Renderers this member ships data to (collective: the blocks whose owner
-  // maps onto me; independent: everyone).
-  std::vector<char> serves(std::size_t(cfg.render_procs), collective ? 0 : 1);
-  if (collective)
-    for (std::size_t b : my_blocks) serves[std::size_t(st.owners[b])] = 1;
-
-  auto read_slice = [&](int step_id, std::vector<float>& cur,
-                        std::vector<float>& prev, std::vector<float>& next) {
-    std::uint64_t first = std::uint64_t(slice_lo) * std::uint64_t(comps);
-    std::uint64_t count =
-        std::uint64_t(slice_hi - slice_lo) * std::uint64_t(comps);
-    cur = read_level_at(world, st, st.reader.step_path(step_id), first, count);
-    if (cfg.enhancement) {
-      if (step_id > 0)
-        prev = read_level_at(world, st, st.reader.step_path(step_id - 1),
-                             first, count);
-      if (step_id + 1 < st.reader.meta().num_steps)
-        next = read_level_at(world, st, st.reader.step_path(step_id + 1),
-                             first, count);
-    }
-  };
-
-  // NACK servicing. The resend path must never enter a collective read (the
-  // rest of the group is not listening), so the collective strategy
-  // regenerates a single block with independent per-node reads instead.
-  auto regen_block = [&](int rs, int block, int requester) {
-    auto range = sent_range.find(rs);
-    if (block < 0 || range == sent_range.end()) {
-      world.isend(requester, tag_block(rs), make_skip_block_msg(rs));
-      return;
-    }
-    try {
-      auto nodes = st.index.block_nodes(std::size_t(block));
-      auto read_nodes = [&](int step_id) {
-        vmpi::File f(world, st.reader.step_path(step_id));
-        f.set_retry_policy(cfg.io_retry);
-        std::vector<float> data(nodes.size() * std::size_t(comps));
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-          f.read_at(st.level_offset() + std::uint64_t(nodes[i]) *
-                                            std::uint64_t(comps) *
-                                            sizeof(float),
-                    {reinterpret_cast<std::uint8_t*>(data.data() +
-                                                     i * std::size_t(comps)),
-                     std::size_t(comps) * sizeof(float)});
-        }
-        return data;
-      };
-      auto cur = read_nodes(rs);
-      std::vector<float> prev, next;
-      if (cfg.enhancement) {
-        if (rs > 0) prev = read_nodes(rs - 1);
-        if (rs + 1 < st.reader.meta().num_steps) next = read_nodes(rs + 1);
-      }
-      auto scalar = make_scalar(cfg, st, cur, prev, next);
-      auto q =
-          io::quantize(scalar, range->second.first, range->second.second);
-      world.isend(requester, tag_block(rs),
-                  make_block_msg(rs, std::size_t(block), q.lo, q.hi, q.values,
-                                 cfg.compress_blocks, nullptr, nullptr));
-    } catch (const vmpi::IoError&) {
-      world.isend(requester, tag_block(rs), make_skip_block_msg(rs));
-    }
-  };
-
-  auto regen_slice = [&](int rs, int /*block*/, int requester) {
-    auto range = sent_range.find(rs);
-    if (range == sent_range.end()) {
-      world.isend(requester, tag_block(rs), make_skip_slice_msg(rs, mi));
-      return;
-    }
-    try {
-      std::vector<float> cur, prev, next;
-      read_slice(rs, cur, prev, next);
-      auto scalar = make_scalar(cfg, st, cur, prev, next);
-      auto q =
-          io::quantize(scalar, range->second.first, range->second.second);
-      const auto& positions = fwd_slice_pos[std::size_t(requester - I)];
-      std::vector<std::uint8_t> values(positions.size());
-      for (std::size_t i = 0; i < positions.size(); ++i)
-        values[i] = q.values[positions[i]];
-      world.isend(requester, tag_block(rs),
-                  make_slice_msg(rs, mi, q.lo, q.hi, values,
-                                 cfg.compress_blocks, nullptr, nullptr));
-    } catch (const vmpi::IoError&) {
-      world.isend(requester, tag_block(rs), make_skip_slice_msg(rs, mi));
-    }
-  };
-
-  InputControl ctl{world, collective
-                              ? std::function<void(int, int, int)>(regen_block)
-                              : std::function<void(int, int, int)>(regen_slice)};
-
-  for (int s = group; s < st.num_steps; s += n) {
+  InputControl ctl{world, nack};
+  int cur_epoch = 0;
+  for (int s = first; s < st.num_steps; s += stride) {
     world.fault_checkpoint(s);
-    WallTimer t;
-    std::vector<float> cur, prev, next;
-    bool fetched = true;
-    pipe_counters().input_attempted.add();
-    // std::optional lets the span close exactly at fetch end without
-    // re-bracing the whole try/catch below (Span is neither copyable nor
-    // movable by design).
-    std::optional<trace::Span> fetch_span;
-    if (trace::enabled()) fetch_span.emplace("pipeline", "fetch", s);
-    try {
-      if (collective) {
-        auto read_step = [&](int step_id) {
-          vmpi::File f(group_comm, st.reader.step_path(step_id));
-          f.set_retry_policy(cfg.io_retry);
-          f.set_view(view);
-          std::vector<float> data(my_nodes.size() * std::size_t(comps));
-          f.read_all({reinterpret_cast<std::uint8_t*>(data.data()),
-                      data.size() * sizeof(float)});
-          return data;
-        };
-        cur = read_step(s);
-        if (cfg.enhancement) {
-          if (s > 0) prev = read_step(s - 1);
-          if (s + 1 < st.reader.meta().num_steps) next = read_step(s + 1);
-        }
-      } else {
-        read_slice(s, cur, prev, next);
-      }
-    } catch (const vmpi::IoError&) {
-      // Permanent failure. Under the collective strategy read_all aborts on
-      // every group member together, so each member reaches this branch and
-      // each renderer receives exactly one skip marker.
-      fetched = false;
+    // Dynamic redistribution (1DIP only): pick up the assignment of this
+    // step's epoch (the render group publishes one per epoch boundary).
+    // Rebalance epochs only — steering epochs never reassign blocks.
+    while (cfg.rebalance_every > 0 && st.epoch_of(s) > cur_epoch) {
+      ++cur_epoch;
+      route_to(ctl.await_assignment(cur_epoch));
     }
-    fetch_span.reset();
-    acc.fetch += t.seconds();
-    t.reset();
-    if (!fetched) {
-      for (int r = 0; r < cfg.render_procs; ++r) {
-        if (!serves[std::size_t(r)]) continue;
-        world.isend(I + r, tag_block(s),
-                    collective ? make_skip_block_msg(s)
-                               : make_skip_slice_msg(s, mi));
-      }
-      continue;
-    }
-    io::QuantizedField q;
-    {
-      trace::Span prep_span("pipeline", "preprocess", s);
-      auto scalar = make_scalar(cfg, st, cur, prev, next);
-      q = io::quantize(scalar, cfg.render.value_lo, cfg.render.value_hi);
-      sent_range[s] = {q.lo, q.hi};
-    }
-    acc.preprocess += t.seconds();
-    t.reset();
-
-    std::uint64_t raw = 0, sent_bytes = 0;
-    trace::Span send_span("pipeline", "send_blocks", s);
-    if (collective) {
-      // Per-block messages, values indexed through the merged node list.
-      std::vector<std::uint8_t> values;
-      for (std::size_t b : my_blocks) {
-        auto nodes = st.index.block_nodes(b);
-        values.resize(nodes.size());
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-          values[i] = q.values[node_pos.at(nodes[i])];
-        }
-        world.isend(I + st.owners[b], tag_block(s),
-                    make_block_msg(s, b, q.lo, q.hi, values,
-                                   cfg.compress_blocks, &raw, &sent_bytes));
-      }
-    } else {
-      // One slice message per render proc, values in forward-map order.
-      std::vector<std::uint8_t> values;
-      for (int r = 0; r < cfg.render_procs; ++r) {
-        const auto& positions = fwd_slice_pos[std::size_t(r)];
-        values.resize(positions.size());
-        for (std::size_t i = 0; i < positions.size(); ++i) {
-          values[i] = q.values[positions[i]];
-        }
-        world.isend(I + r, tag_block(s),
-                    make_slice_msg(s, mi, q.lo, q.hi, values,
-                                   cfg.compress_blocks, &raw, &sent_bytes));
-      }
-    }
-    pipe_counters().block_bytes_raw.add(raw);
-    pipe_counters().block_bytes_sent.add(sent_bytes);
-    acc.send += t.seconds();
-    pipe_counters().input_completed.add();
+    input_step(world, st, acc, s, read, routes, independent ? mi : -1,
+               sent_range, cfg.lic_overlay ? &lic : nullptr);
   }
   ctl.drain_until_done(cfg.render_procs);
 }
@@ -792,57 +542,77 @@ void run_input_2dip(Shared& sh, const Setup& st, vmpi::Comm& world,
 // Rendering processors
 // ---------------------------------------------------------------------------
 
-// Renderer-side view of the current block assignment.
-struct RenderAssignment {
-  std::vector<int> owners;
-  std::vector<std::size_t> owned;         // my global block ids
-  std::map<int, std::size_t> local_of;    // global block id -> owned index
-  std::vector<render::RenderBlock> rblocks;
-  std::vector<std::vector<float>> block_values;
-
-  void rebuild(const Setup& st, int my_rank, std::vector<int> new_owners) {
-    owners = std::move(new_owners);
-    owned.clear();
-    local_of.clear();
-    rblocks.clear();
-    for (std::size_t b = 0; b < st.blocks.size(); ++b) {
-      if (owners[b] == my_rank) {
-        local_of[int(b)] = owned.size();
-        owned.push_back(b);
-      }
-    }
-    rblocks.reserve(owned.size());
-    block_values.assign(owned.size(), {});
-    for (std::size_t i = 0; i < owned.size(); ++i) {
-      rblocks.emplace_back(*st.mesh, st.blocks[owned[i]],
-                           st.index.block_nodes(owned[i]));
-      block_values[i].resize(st.index.block_nodes(owned[i]).size());
+// Publish the rebalanced assignment for the epoch after step `s`: gather
+// the measured per-block costs at the render root, reassign blocks
+// largest-first on them, and send the plan to the other renderers and to
+// every input processor.
+std::vector<int> replan(Shared& sh, const Setup& st, vmpi::Comm& world,
+                        vmpi::Comm& render_comm, const RenderRank& rank,
+                        int next_epoch) {
+  const PipelineConfig& cfg = sh.config;
+  std::vector<std::uint8_t> packed;
+  for (std::size_t i = 0; i < rank.owned().size(); ++i) {
+    double rec[2] = {double(rank.owned()[i]), rank.costs()[i]};
+    const auto* p = reinterpret_cast<const std::uint8_t*>(rec);
+    packed.insert(packed.end(), p, p + sizeof(rec));
+  }
+  auto gathered = render_comm.gather(packed, 0);
+  std::vector<std::uint8_t> wire;
+  if (render_comm.rank() != 0) {
+    render_comm.bcast(wire, 0);
+    std::vector<int> new_owners(wire.size() / sizeof(int));
+    std::memcpy(new_owners.data(), wire.data(), wire.size());
+    return new_owners;
+  }
+  std::vector<octree::Block> costed = st.layout.blocks;
+  for (const auto& blob : gathered) {
+    for (std::size_t off = 0; off + 16 <= blob.size(); off += 16) {
+      double rec[2];
+      std::memcpy(rec, blob.data() + off, sizeof(rec));
+      costed[std::size_t(rec[0])].workload = rec[1];
     }
   }
-};
+  std::vector<int> new_owners = octree::assign_blocks(
+      costed, cfg.render_procs, octree::AssignStrategy::kLargestFirst);
+  // Record the imbalance the old assignment showed this epoch.
+  std::vector<double> old_load(std::size_t(cfg.render_procs), 0.0);
+  std::vector<double> new_load(std::size_t(cfg.render_procs), 0.0);
+  for (std::size_t b = 0; b < costed.size(); ++b) {
+    old_load[std::size_t(rank.owners()[b])] += costed[b].workload;
+    new_load[std::size_t(new_owners[b])] += costed[b].workload;
+  }
+  double old_imb = load_imbalance(old_load);
+  double new_imb = load_imbalance(new_load);
+  // Measured costs are noisy; adopting a plan that scores worse than the
+  // assignment already running would oscillate. Keep the old one.
+  if (new_imb > old_imb) {
+    new_owners = rank.owners();
+    new_imb = old_imb;
+  }
+  {
+    std::lock_guard lk(sh.mu);
+    sh.report.epoch_imbalance.push_back(old_imb);
+    sh.report.epoch_imbalance_replanned.push_back(new_imb);
+  }
+  wire.resize(new_owners.size() * sizeof(int));
+  std::memcpy(wire.data(), new_owners.data(), wire.size());
+  render_comm.bcast(wire, 0);
+  for (int ip = 0; ip < cfg.total_input_procs(); ++ip) {
+    world.isend(ip, tag_assign(next_epoch),
+                {reinterpret_cast<const std::uint8_t*>(new_owners.data()),
+                 new_owners.size() * sizeof(int)});
+  }
+  return new_owners;
+}
 
 void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
                 vmpi::Comm& render_comm) {
   const PipelineConfig& cfg = sh.config;
-  const int rr = render_comm.rank();
-  const int out_rank = cfg.total_input_procs() + cfg.render_procs;
   const bool independent = cfg.strategy == IoStrategy::kTwoDipIndependent;
-  const bool orbiting = cfg.orbit_deg_per_step != 0.0f;
-
-  RenderAssignment assign;
-  assign.rebuild(st, rr, st.owners);
-
-  // View-dependent preprocessing (§4): global visibility ranks, recomputed
-  // whenever the viewpoint moves.
-  render::Camera camera = st.views.camera(0);
-  std::vector<std::uint32_t> rank_of(st.blocks.size());
-  auto recompute_order = [&]() {
-    auto order = render::visibility_order(st.blocks, st.mesh->domain(),
-                                          camera.eye());
-    for (std::size_t i = 0; i < order.size(); ++i)
-      rank_of[order[i]] = std::uint32_t(i);
-  };
-  recompute_order();
+  RenderRank rank(*st.mesh, st.layout, st.views, st.tf,
+                  {cfg.width, cfg.height, cfg.render, cfg.render_threads,
+                   cfg.compositor, cfg.composite_k, cfg.compress_compositing},
+                  world, render_comm);
 
   // Independent-contiguous reads: precompute, per group member, the scatter
   // list of (owned block, position) matching the member's value order.
@@ -853,53 +623,22 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
   };
   std::vector<std::vector<Scatter>> member_scatter;
   if (independent) {
-    const int comps = st.reader.meta().components;
     member_scatter.resize(std::size_t(m));
     for (int mi = 0; mi < m; ++mi) {
-      auto [lo, hi] = io::slice_bounds(st.level_floats() / std::size_t(comps),
-                                       mi, m);
-      auto entries = io::build_forward_map(st.index, lo, hi);
-      for (const auto& e : entries) {
-        if (st.owners[e.block] != rr) continue;
-        member_scatter[std::size_t(mi)].push_back(
-            {assign.local_of.at(int(e.block)), e.block_pos});
+      auto [lo, hi] = io::slice_bounds(
+          st.level_floats() / std::size_t(st.components()), mi, m);
+      for (const auto& e : io::build_forward_map(st.layout.index, lo, hi)) {
+        const int li = rank.local(e.block);
+        if (li >= 0)
+          member_scatter[std::size_t(mi)].push_back(
+              {std::size_t(li), e.block_pos});
       }
     }
   }
 
-  render::Raycaster rc(st.tf, cfg.render, st.mesh->domain().extent().x);
-  // Steering: the transfer-function window lives in the Raycaster, so a
-  // folded edit rebuilds it (camera/order are refreshed by the same path).
-  const bool steering = cfg.steer.enabled;
-  std::uint32_t steer_epoch = 0;
-  auto apply_steer = [&](int s) {
-    const stream::SteeringState v = st.views.at(s);
-    render::RenderOptions opt = cfg.render;
-    opt.value_lo = v.value_lo;
-    opt.value_hi = v.value_hi;
-    rc = render::Raycaster(st.tf, opt, st.mesh->domain().extent().x);
-    camera = st.views.camera(s);
-    recompute_order();
-    steer_epoch = v.epoch;
-  };
-
-  // Intra-rank render pool: cfg.render_threads workers (including this
-  // rank's own thread) share each step's (block x tile) task list. With 1
-  // thread no workers are spawned and rendering runs inline.
-  util::ThreadPool render_pool(
-      std::max(1, cfg.render_threads), [rr](int w) {
-        if (!trace::enabled()) return;
-        char tname[32];
-        std::snprintf(tname, sizeof(tname), "render %d.w%d", rr, w);
-        trace::set_thread(1000 + rr * 64 + w, tname);
-      });
-
-  double render_time = 0, composite_time = 0;
   const auto timeout = std::chrono::milliseconds(
       cfg.recv_timeout_ms > 0 ? cfg.recv_timeout_ms : 0);
-  // Measured per-block costs of the current epoch (dynamic redistribution).
-  std::map<int, double> epoch_costs;
-
+  std::vector<std::uint8_t> scratch, msg;
   for (int s = 0; s < st.num_steps; ++s) {
     // --- receive this step's data (later steps keep arriving in the
     //     background into the mailbox — that's the §4 overlap) -------------
@@ -910,243 +649,76 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
     // and marks the step degraded.
     bool degraded = false;
     int nacks_left = kMaxNacksPerStep;
-    auto recv_step_msg = [&](std::vector<std::uint8_t>& msg,
-                             vmpi::Status& rst) {
-      // The wait_blocks span brackets only the blocking receive, not the
-      // unpack work around it: the trace analysis treats its total as the
-      // renderer's input-starvation stall.
-      trace::Span wait_span("pipeline", "wait_blocks", s);
-      if (cfg.recv_timeout_ms > 0)
-        return world.recv_timeout(vmpi::kAnySource, tag_block(s), msg, timeout,
-                                  &rst);
-      rst = world.recv(vmpi::kAnySource, tag_block(s), msg);
-      return true;
-    };
-    if (independent) {
-      std::vector<std::uint8_t> scratch, msg;
-      int remaining = m;
-      while (remaining > 0) {
-        vmpi::Status rst;
-        if (!recv_step_msg(msg, rst)) {
-          degraded = true;  // a member died; render what we have
-          break;
-        }
-        SliceMsgHeader hdr;
-        if (msg.size() < sizeof(hdr))
-          throw std::runtime_error("pipeline: truncated slice message");
-        std::memcpy(&hdr, msg.data(), sizeof(hdr));
-        if (hdr.flags & kFlagStepSkipped) {
-          // Only this member's share is stale; the others still count.
+    // One message per member (independent) or per owned block.
+    std::size_t remaining =
+        independent ? std::size_t(m) : rank.owned().size();
+    while (remaining > 0) {
+      vmpi::Status rst;
+      bool got = true;
+      {
+        // The wait_blocks span brackets only the blocking receive, not the
+        // unpack work around it: the trace analysis treats its total as the
+        // renderer's input-starvation stall.
+        trace::Span wait_span("pipeline", "wait_blocks", s);
+        if (cfg.recv_timeout_ms > 0)
+          got = world.recv_timeout(vmpi::kAnySource, block_msg_tag(s), msg,
+                                   timeout, &rst);
+        else
+          rst = world.recv(vmpi::kAnySource, block_msg_tag(s), msg);
+      }
+      if (!got) {
+        degraded = true;  // an input died; render what we have
+        break;
+      }
+      const BlockMsgHeader hdr = block_msg_header(msg);
+      if (hdr.flags & kFlagStepSkipped) {
+        degraded = true;
+        // All my blocks for this step come from the one sender that just
+        // gave up, so nothing further is in flight; a member's skip stales
+        // only its share, and the others still count.
+        if (!independent) break;
+        --remaining;
+        continue;
+      }
+      if (!block_payload_ok(hdr, msg)) {
+        pipe_counters().crc_failures.add();
+        if (nacks_left-- > 0) {
+          NackMsg nack{s, independent ? -1 : hdr.id};
+          world.isend(rst.source, kTagNack,
+                      {reinterpret_cast<const std::uint8_t*>(&nack),
+                       sizeof(nack)});
+        } else {
           degraded = true;
-          --remaining;
-          continue;
+          --remaining;  // give up on this message; keep its stale values
         }
-        if (!payload_ok(hdr, msg)) {
-          pipe_counters().crc_failures.add();
-          if (nacks_left-- > 0) {
-            NackMsg nack{s, -1};
-            world.isend(rst.source, kTagNack,
-                        {reinterpret_cast<const std::uint8_t*>(&nack),
-                         sizeof(nack)});
-          } else {
-            degraded = true;
-            --remaining;
-          }
-          continue;
-        }
-        const auto& scatter = member_scatter[std::size_t(hdr.member)];
+        continue;
+      }
+      if (independent) {
+        const auto& scatter = member_scatter.at(std::size_t(hdr.id));
         if (scatter.size() != hdr.count)
           throw std::runtime_error("pipeline: slice message size mismatch");
-        unpack_values(hdr, msg, scratch, [&](std::size_t i, float v) {
-          assign.block_values[scatter[i].local_block][scatter[i].pos] = v;
+        unpack_block_msg(hdr, msg, scratch, [&](std::size_t i, float v) {
+          rank.values(scatter[i].local_block)[scatter[i].pos] = v;
         });
-        --remaining;
+      } else {
+        rank.unpack(hdr, msg);
       }
-    } else {
-      std::vector<std::uint8_t> scratch, msg;
-      std::size_t remaining = assign.owned.size();
-      while (remaining > 0) {
-        vmpi::Status rst;
-        if (!recv_step_msg(msg, rst)) {
-          degraded = true;
-          break;
-        }
-        BlockMsgHeader hdr;
-        if (msg.size() < sizeof(hdr))
-          throw std::runtime_error("pipeline: truncated block message");
-        std::memcpy(&hdr, msg.data(), sizeof(hdr));
-        if (hdr.flags & kFlagStepSkipped) {
-          // All my blocks for this step come from the one sender that just
-          // gave up, so nothing further is in flight.
-          degraded = true;
-          break;
-        }
-        if (!payload_ok(hdr, msg)) {
-          pipe_counters().crc_failures.add();
-          if (nacks_left-- > 0) {
-            NackMsg nack{s, hdr.block};
-            world.isend(rst.source, kTagNack,
-                        {reinterpret_cast<const std::uint8_t*>(&nack),
-                         sizeof(nack)});
-          } else {
-            degraded = true;
-            --remaining;  // give up on this block; keep its stale values
-          }
-          continue;
-        }
-        std::size_t li = assign.local_of.at(hdr.block);
-        if (assign.block_values[li].size() != hdr.count)
-          throw std::runtime_error("pipeline: block message size mismatch");
-        auto& dst = assign.block_values[li];
-        unpack_values(hdr, msg, scratch,
-                      [&](std::size_t i, float v) { dst[i] = v; });
-        --remaining;
-      }
+      --remaining;
     }
 
     // The whole group must agree on the degraded flag — the output
     // processor needs one consistent answer per frame.
     const bool step_degraded =
         render_comm.allreduce_max(degraded ? 1.0 : 0.0) > 0.0;
-    if (rr == 0 && step_degraded) pipe_counters().dropped_steps.add();
+    if (render_comm.rank() == 0 && step_degraded)
+      pipe_counters().dropped_steps.add();
 
-    // --- local rendering ----------------------------------------------------
-    if (orbiting && s > 0) {
-      camera = st.views.camera(s);
-      recompute_order();
-    }
-    // Steering edits fold in at the step boundary: the first step rendered
-    // at a new epoch picks up the edited camera and TF window everywhere.
-    if (steering && std::uint32_t(st.epoch_of(s)) != steer_epoch)
-      apply_steer(s);
-    WallTimer t;
-    std::vector<render::PartialImage> partials;
-    {
-      trace::Span render_span("pipeline", "render", s);
-      std::vector<std::uint32_t> orders(assign.owned.size());
-      // Per-block cost for the rebalancer: value install (macro ranges
-      // included) plus the summed wall time of the block's render tasks.
-      std::vector<double> block_secs(assign.owned.size(), 0.0);
-      for (std::size_t i = 0; i < assign.owned.size(); ++i) {
-        WallTimer bt;
-        assign.rblocks[i].set_values(assign.block_values[i]);
-        orders[i] = rank_of[assign.owned[i]];
-        block_secs[i] = bt.seconds();
-      }
-      partials = render::render_blocks(camera, rc, assign.rblocks, orders,
-                                       &render_pool, render::kRenderTile,
-                                       nullptr, block_secs.data());
-      for (std::size_t i = 0; i < assign.owned.size(); ++i)
-        epoch_costs[int(assign.owned[i])] += block_secs[i];
-    }
-    const double render_s = t.seconds();
-    render_time += render_s;
-    if (obs::lineage::enabled()) {
-      obs::lineage::record_wall(obs::lineage::Stage::kRender, s,
-                                std::uint32_t(st.epoch_of(s)),
-                                obs::lineage::ChannelKind::kRank, world.rank(),
-                                render_s);
-    }
-    t.reset();
-
-    // --- parallel compositing ----------------------------------------------
-    compositing::CompositeResult comp;
-    {
-      trace::Span composite_span("pipeline", "composite", s);
-      if (cfg.compositor == Compositor::kSlic) {
-        comp = compositing::slic(render_comm, partials, cfg.width, cfg.height,
-                                 cfg.compress_compositing, 0);
-      } else if (cfg.compositor == Compositor::kBinarySwap) {
-        comp = compositing::binary_swap(render_comm, partials, cfg.width,
-                                        cfg.height, cfg.compress_compositing,
-                                        0);
-      } else if (cfg.compositor == Compositor::kRadixK) {
-        comp = compositing::radix_k(render_comm, partials, cfg.width,
-                                    cfg.height, cfg.composite_k,
-                                    cfg.compress_compositing, 0);
-      } else {
-        comp = compositing::direct_send(render_comm, partials, cfg.width,
-                                        cfg.height, cfg.compress_compositing,
-                                        0);
-      }
-    }
-    const double composite_s = t.seconds();
-    composite_time += composite_s;
-    if (obs::lineage::enabled()) {
-      obs::lineage::record_wall(obs::lineage::Stage::kComposite, s,
-                                std::uint32_t(st.epoch_of(s)),
-                                obs::lineage::ChannelKind::kRank, world.rank(),
-                                composite_s);
-    }
-
-    // --- image delivery ----------------------------------------------------
-    if (rr == 0) {
-      world.isend(out_rank, tag_frame(s),
-                  make_frame_msg(s, step_degraded, comp.image.pixels()));
-    }
+    rank.step(s, std::uint32_t(st.epoch_of(s)), step_degraded);
 
     // --- fine-grain dynamic load redistribution (§7) -----------------------
     if (cfg.rebalance_every > 0 && s + 1 < st.num_steps &&
         st.epoch_of(s + 1) > st.epoch_of(s)) {
-      int next_epoch = st.epoch_of(s + 1);
-      // Gather (block, cost) pairs at the render root.
-      std::vector<std::uint8_t> packed;
-      for (const auto& [block, cost] : epoch_costs) {
-        double rec[2] = {double(block), cost};
-        const auto* p = reinterpret_cast<const std::uint8_t*>(rec);
-        packed.insert(packed.end(), p, p + sizeof(rec));
-      }
-      auto gathered = render_comm.gather(packed, 0);
-      std::vector<int> new_owners;
-      if (rr == 0) {
-        // Reassign blocks largest-first on the MEASURED costs.
-        std::vector<octree::Block> costed = st.blocks;
-        for (const auto& blob : gathered) {
-          for (std::size_t off = 0; off + 16 <= blob.size(); off += 16) {
-            double rec[2];
-            std::memcpy(rec, blob.data() + off, sizeof(rec));
-            costed[std::size_t(rec[0])].workload = rec[1];
-          }
-        }
-        new_owners = octree::assign_blocks(costed, cfg.render_procs,
-                                           octree::AssignStrategy::kLargestFirst);
-        // Record the imbalance the old assignment showed this epoch.
-        std::vector<double> old_load(std::size_t(cfg.render_procs), 0.0);
-        std::vector<double> new_load(std::size_t(cfg.render_procs), 0.0);
-        for (std::size_t b = 0; b < costed.size(); ++b) {
-          old_load[std::size_t(assign.owners[b])] += costed[b].workload;
-          new_load[std::size_t(new_owners[b])] += costed[b].workload;
-        }
-        double old_imb = load_imbalance(old_load);
-        double new_imb = load_imbalance(new_load);
-        // Measured costs are noisy; adopting a plan that scores worse than
-        // the assignment already running would oscillate. Keep the old one.
-        if (new_imb > old_imb) {
-          new_owners = assign.owners;
-          new_imb = old_imb;
-        }
-        {
-          std::lock_guard lk(sh.mu);
-          sh.report.epoch_imbalance.push_back(old_imb);
-          sh.report.epoch_imbalance_replanned.push_back(new_imb);
-        }
-        // Publish to the other renderers and to every input processor.
-        std::vector<std::uint8_t> wire(new_owners.size() * sizeof(int));
-        std::memcpy(wire.data(), new_owners.data(), wire.size());
-        render_comm.bcast(wire, 0);
-        for (int ip = 0; ip < cfg.total_input_procs(); ++ip) {
-          world.isend(ip, tag_assign(next_epoch),
-                      {reinterpret_cast<const std::uint8_t*>(new_owners.data()),
-                       new_owners.size() * sizeof(int)});
-        }
-      } else {
-        std::vector<std::uint8_t> wire;
-        render_comm.bcast(wire, 0);
-        new_owners.resize(wire.size() / sizeof(int));
-        std::memcpy(new_owners.data(), wire.data(), wire.size());
-      }
-      assign.rebuild(st, rr, std::move(new_owners));
-      epoch_costs.clear();
+      rank.reassign(replan(sh, st, world, render_comm, rank, st.epoch_of(s + 1)));
     }
   }
   // Release the inputs' control loops: this renderer will NACK no more.
@@ -1154,8 +726,8 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
     world.isend(ip, kTagDone, std::span<const std::uint8_t>{});
   pipe_counters().render_steps.add(std::uint64_t(st.num_steps));
   std::lock_guard lk(sh.mu);
-  sh.render += render_time;
-  sh.composite += composite_time;
+  sh.render += rank.render_seconds();
+  sh.composite += rank.composite_seconds();
 }
 
 // ---------------------------------------------------------------------------
@@ -1164,22 +736,13 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
 
 void run_output(Shared& sh, const Setup& st, vmpi::Comm& world) {
   const PipelineConfig& cfg = sh.config;
-  OutputSink sink(cfg, "frame_", world.rank(), sh.frames_out);
+  OutputSink sink(cfg, "frame_", world, sh.frames_out);
   std::vector<int> degraded_steps;
   std::vector<float> last_gray;  // LIC texture frame-repeat buffer
   for (int s = 0; s < st.num_steps; ++s) {
-    std::vector<std::uint8_t> msg;
-    {
-      trace::Span wait_span("pipeline", "wait_frame", s);
-      world.recv(vmpi::kAnySource, tag_frame(s), msg);
-    }
-    sink.begin(s, std::uint32_t(st.epoch_of(s)));
-    img::Image frame(cfg.width, cfg.height);
-    auto view = parse_frame_msg(msg, frame.pixels().size());
-    if (!view) throw std::runtime_error("pipeline: bad frame message");
-    std::memcpy(frame.pixels().data(), view->pixels.data(),
-                view->pixels.size_bytes());
-    const bool degraded = view->degraded;
+    bool degraded = false;
+    img::Image frame =
+        sink.receive(s, std::uint32_t(st.epoch_of(s)), &degraded);
     if (degraded) degraded_steps.push_back(s);
 
     if (cfg.lic_overlay) {
@@ -1299,24 +862,9 @@ PipelineReport run_pipeline(const PipelineConfig& config_in,
 
   vmpi::Runtime::run(config.world_size(), [&sh, &config](vmpi::Comm& world) {
     Setup st(config);
-    const int I = config.total_input_procs();
-    const int R = config.render_procs;
     const int r = world.rank();
-    const int role = r < I ? 0 : (r < I + R ? 1 : 2);
-
-    if (trace::enabled()) {
-      // Replace the runtime's generic "rank N" label with the pipeline role
-      // so traces read as input/render/output lanes.
-      char tname[32];
-      if (role == 0)
-        std::snprintf(tname, sizeof(tname), "input %d", r);
-      else if (role == 1)
-        std::snprintf(tname, sizeof(tname), "render %d", r - I);
-      else
-        std::snprintf(tname, sizeof(tname), "output");
-      trace::set_thread(r, tname);
-    }
-
+    const int role = driver_role(world, config.total_input_procs(),
+                                 config.render_procs, "input");
     vmpi::Comm sub = world.split(role, r);
     std::optional<vmpi::Comm> group_comm;
     if (role == 0 && config.strategy != IoStrategy::kOneDip) {
@@ -1327,11 +875,7 @@ PipelineReport run_pipeline(const PipelineConfig& config_in,
 
     switch (role) {
       case 0:
-        if (config.strategy == IoStrategy::kOneDip) {
-          run_input_1dip(sh, st, world, r);
-        } else {
-          run_input_2dip(sh, st, world, *group_comm, r / config.input_procs);
-        }
+        run_input(sh, st, world, group_comm ? &*group_comm : nullptr);
         break;
       case 1:
         run_render(sh, st, world, sub);

@@ -47,10 +47,14 @@ std::uint32_t ViewSchedule::epoch(int step) const {
   return steering_ ? at(step).epoch : 0;
 }
 
-render::Camera ViewSchedule::camera(int step) const {
+float ViewSchedule::azimuth(int step) const {
   float az = orbit_deg_per_step_ * float(step);
   if (steering_) az += at(step).azimuth_deg;
-  return render::Camera::orbit(domain_, width_, height_, az);
+  return az;
+}
+
+render::Camera ViewSchedule::camera(int step) const {
+  return render::Camera::orbit(domain_, width_, height_, azimuth(step));
 }
 
 std::vector<int> assign_for_view(std::span<octree::Block> blocks,

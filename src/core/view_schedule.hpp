@@ -29,6 +29,8 @@ class ViewSchedule {
   stream::SteeringState at(int step) const;
   // The view epoch of `step`: the newest applied request id, 0 unsteered.
   std::uint32_t epoch(int step) const;
+  // The camera's azimuth at `step`: the orbit plus any steered turn.
+  float azimuth(int step) const;
   // The orbit camera at `step`, turned by any steered camera edit.
   render::Camera camera(int step) const;
 

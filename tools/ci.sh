@@ -30,7 +30,7 @@ tier1() {
 }
 
 trace_smoke() {
-  echo "== trace: pipeline run with --trace produces a loadable event file =="
+  echo "== trace: pipeline and insitu runs with --trace produce loadable event files =="
   cmake -B build -S . >/dev/null
   cmake --build build -j "$JOBS" --target quakeviz
   local work
@@ -40,33 +40,38 @@ trace_smoke() {
       --steps=3 --max-level=3 >/dev/null
   ./build/tools/quakeviz pipeline --dataset="$work/ds" --inputs=2 \
       --renderers=2 --width=96 --height=72 --vmax=3 \
-      --trace="$work/trace.json" --metrics-json="$work/run.json"
+      --trace="$work/pipeline.trace.json" --metrics-json="$work/pipeline.json"
+  # The in-situ driver renders through the same render rank, so its trace
+  # carries the same render/composite spans beside the solver's.
+  ./build/tools/quakeviz insitu --snapshots=3 --width=96 --height=72 \
+      --trace="$work/insitu.trace.json" --metrics-json="$work/insitu.json"
   if command -v python3 >/dev/null; then
-    python3 - "$work/trace.json" <<'EOF'
+    python3 - "$work" <<'EOF'
 import json, sys
-events = json.load(open(sys.argv[1]))
-assert isinstance(events, list) and events, "trace must be a non-empty array"
-cats = {e.get("cat") for e in events}
-names = {e.get("name") for e in events}
-for cat in ("pipeline", "io", "render", "compositing"):
-    assert cat in cats, f"missing category {cat!r} (have {sorted(c for c in cats if c)})"
-for name in ("fetch", "send_blocks", "wait_blocks", "render", "composite",
-             "frame", "thread_name"):
-    assert name in names, f"missing span {name!r}"
-assert any(e.get("ph") == "M" for e in events), "missing thread metadata"
-print(f"trace smoke: {len(events)} events, categories {sorted(c for c in cats if c)}")
-EOF
-    python3 - "$work/run.json" <<'EOF'
-import json, sys
-r = json.load(open(sys.argv[1]))
-assert r.get("schema") == "qv-run-report" and r.get("version") == 2, "bad schema"
-assert r.get("kind") == "pipeline"
-tracked = {m["name"] for m in r["tracked"]}
-assert "interframe_s" in tracked, f"tracked = {sorted(tracked)}"
-assert "span.pipeline.render" in r["histograms"], "span feed missing"
-assert r["counters"].get("render.rays", 0) > 0, "render counters missing"
-print(f"metrics smoke: {len(r['counters'])} counters, "
-      f"{len(r['histograms'])} histograms")
+spans = {"pipeline": ("fetch", "send_blocks", "wait_blocks", "render",
+                      "composite", "frame", "thread_name"),
+         "insitu": ("sim_step", "send_blocks", "wait_blocks", "render",
+                    "composite", "wait_frame", "frame", "thread_name")}
+for kind, want in spans.items():
+    events = json.load(open(f"{sys.argv[1]}/{kind}.trace.json"))
+    assert isinstance(events, list) and events, f"{kind}: trace must be a non-empty array"
+    cats = {e.get("cat") for e in events}
+    names = {e.get("name") for e in events}
+    for cat in ("pipeline", "io", "render", "compositing"):
+        assert cat in cats, f"{kind}: missing category {cat!r} (have {sorted(c for c in cats if c)})"
+    for name in want:
+        assert name in names, f"{kind}: missing span {name!r}"
+    assert any(e.get("ph") == "M" for e in events), f"{kind}: missing thread metadata"
+    print(f"{kind} trace smoke: {len(events)} events, categories {sorted(c for c in cats if c)}")
+    r = json.load(open(f"{sys.argv[1]}/{kind}.json"))
+    assert r.get("schema") == "qv-run-report" and r.get("version") == 2, f"{kind}: bad schema"
+    assert r.get("kind") == kind, f"{kind}: kind = {r.get('kind')!r}"
+    tracked = {m["name"] for m in r["tracked"]}
+    assert "interframe_s" in tracked, f"{kind}: tracked = {sorted(tracked)}"
+    assert "span.pipeline.render" in r["histograms"], f"{kind}: span feed missing"
+    assert r["counters"].get("render.rays", 0) > 0, f"{kind}: render counters missing"
+    print(f"{kind} metrics smoke: {len(r['counters'])} counters, "
+          f"{len(r['histograms'])} histograms")
 EOF
   else
     echo "trace smoke: python3 unavailable, skipped JSON validation"
