@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "core/block_msg.hpp"
-#include "core/frame_msg.hpp"
 #include "core/output.hpp"
 #include "core/render_rank.hpp"
 #include "core/view_schedule.hpp"
@@ -91,13 +90,12 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
                 vmpi::Comm& render_comm) {
   const InsituConfig& cfg = sh.cfg;
   // In-situ composites with uncompressed SLIC, the Options defaults.
-  RenderRank::Options opt;
-  opt.width = cfg.width;
-  opt.height = cfg.height;
-  opt.render = cfg.render;
-  opt.render_threads = cfg.render_threads;
-  RenderRank rank(st.mesh, st.layout, st.views, st.tf, opt, world,
-                  render_comm);
+  RenderRank rank(st.mesh, st.layout, st.views, st.tf,
+                  {.width = cfg.width,
+                   .height = cfg.height,
+                   .render = cfg.render,
+                   .render_threads = cfg.render_threads},
+                  world, render_comm);
   std::vector<std::uint8_t> msg;
   for (int snap = 0; snap < cfg.snapshots; ++snap) {
     for (std::size_t k = 0; k < rank.owned().size(); ++k) {

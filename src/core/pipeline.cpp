@@ -10,7 +10,6 @@
 #include <stdexcept>
 
 #include "core/block_msg.hpp"
-#include "core/frame_msg.hpp"
 #include "core/ground_overlay.hpp"
 #include "core/output.hpp"
 #include "core/render_rank.hpp"
@@ -232,7 +231,8 @@ void send_blocks(vmpi::Comm& world, const Setup& st, int step,
   std::uint64_t raw = 0, sent = 0;
   for (const Route& r : routes) {
     values.resize(r.pos.size());
-    for (std::size_t i = 0; i < r.pos.size(); ++i) values[i] = q.values[r.pos[i]];
+    for (std::size_t i = 0; i < r.pos.size(); ++i)
+      values[i] = q.values[r.pos[i]];
     world.isend(r.dest, block_msg_tag(step),
                 make_block_msg(step, r.id, q.lo, q.hi, values,
                                st.cfg.compress_blocks, &raw, &sent));
@@ -262,8 +262,8 @@ using SentRanges = std::map<int, std::pair<float, float>>;
 // Answer a NACK for message `id` of step `rs` with a bit-identical
 // regeneration: the records read(step) returns, in message order,
 // quantized with the step's shipped range. A negative id, a step that
-// never shipped, or data that is gone for good (the renderer then keeps
-// its stale copy) is answered with a skip marker carrying `skip_id`. Must
+// never shipped, or data that is gone for good is answered with a skip
+// marker carrying `skip_id`, and the renderer keeps its stale copy. Must
 // not throw.
 template <typename Read>
 void resend(vmpi::Comm& world, const Setup& st, const SentRanges& ranges,
@@ -278,7 +278,6 @@ void resend(vmpi::Comm& world, const Setup& st, const SentRanges& ranges,
                                  st.cfg.compress_blocks));
       return;
     } catch (const vmpi::IoError&) {
-      // Gone for good: the renderer keeps its stale copy.
     }
   }
   world.isend(requester, block_msg_tag(rs), make_skip_block_msg(rs, skip_id));
@@ -542,9 +541,9 @@ void run_input(Shared& sh, const Setup& st, vmpi::Comm& world,
 // Rendering processors
 // ---------------------------------------------------------------------------
 
-// Publish the rebalanced assignment for the epoch after step `s`: gather
-// the measured per-block costs at the render root, reassign blocks
-// largest-first on them, and send the plan to the other renderers and to
+// The assignment of rebalance epoch `next_epoch`, on every renderer: the
+// render root gathers the measured per-block costs, reassigns the blocks
+// largest-first on them, and sends the plan to the other renderers and to
 // every input processor.
 std::vector<int> replan(Shared& sh, const Setup& st, vmpi::Comm& world,
                         vmpi::Comm& render_comm, const RenderRank& rank,
@@ -610,8 +609,13 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
   const PipelineConfig& cfg = sh.config;
   const bool independent = cfg.strategy == IoStrategy::kTwoDipIndependent;
   RenderRank rank(*st.mesh, st.layout, st.views, st.tf,
-                  {cfg.width, cfg.height, cfg.render, cfg.render_threads,
-                   cfg.compositor, cfg.composite_k, cfg.compress_compositing},
+                  {.width = cfg.width,
+                   .height = cfg.height,
+                   .render = cfg.render,
+                   .render_threads = cfg.render_threads,
+                   .compositor = cfg.compositor,
+                   .composite_k = cfg.composite_k,
+                   .compress = cfg.compress_compositing},
                   world, render_comm);
 
   // Independent-contiguous reads: precompute, per group member, the scatter
@@ -718,7 +722,8 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
     // --- fine-grain dynamic load redistribution (§7) -----------------------
     if (cfg.rebalance_every > 0 && s + 1 < st.num_steps &&
         st.epoch_of(s + 1) > st.epoch_of(s)) {
-      rank.reassign(replan(sh, st, world, render_comm, rank, st.epoch_of(s + 1)));
+      rank.reassign(
+          replan(sh, st, world, render_comm, rank, st.epoch_of(s + 1)));
     }
   }
   // Release the inputs' control loops: this renderer will NACK no more.

@@ -1,5 +1,6 @@
 #include "core/render_rank.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
@@ -99,7 +100,8 @@ void RenderRank::unpack(const BlockMsgHeader& hdr,
   const int li = hdr.id >= 0 && std::size_t(hdr.id) < local_.size()
                      ? local_[std::size_t(hdr.id)]
                      : -1;
-  if (li < 0) throw std::runtime_error("render rank: block message for a block it does not own");
+  if (li < 0)
+    throw std::runtime_error("render rank: block message for an unowned block");
   std::vector<float>& dst = values_[std::size_t(li)];
   if (dst.size() != hdr.count)
     throw std::runtime_error("render rank: block message size mismatch");
