@@ -216,9 +216,8 @@ std::vector<float> make_scalar(const Setup& st, const StepRecords& r) {
   return io::temporal_enhance(scalar, pm, nm, cfg.enhancement_gain);
 }
 
-// One block message an input rank ships each step: to world rank `dest`,
-// named `id` (the block; the member for 2DIP-independent), carrying the
-// quantized values at positions `pos` of the rank's field.
+// One block message an input rank ships each step: `id` (see BlockMsgHeader)
+// to world rank `dest`, carrying the values at positions `pos` of its field.
 struct Route {
   int dest;
   int id;
@@ -354,10 +353,9 @@ struct InputControl {
   }
 };
 
-// One input step: fetch the step's records with read(step), preprocess
-// them (quantize, plus the surface LIC when `lic` is set) and ship them
-// along `routes`. A permanent fetch failure ships skip markers carrying
-// `skip_id` instead. Records the step's quantization range in `sent`.
+// One input step: fetch with read(step), preprocess (plus the surface LIC
+// when `lic` is set) and ship along `routes`, or ship skip markers carrying
+// `skip_id` when the fetch fails for good.
 template <typename Read>
 void input_step(vmpi::Comm& world, const Setup& st, InputStats& acc, int s,
                 Read&& read, std::span<const Route> routes, int skip_id,
@@ -421,9 +419,7 @@ void run_input(Shared& sh, const Setup& st, vmpi::Comm& world,
   const int first = group_comm ? world.rank() / m : world.rank();
   const int stride = group_comm ? cfg.groups : m;
 
-  // Static request patterns and routes (the mesh never changes), the step
-  // reader, and the NACK service.
-  std::vector<Route> routes;
+  std::vector<Route> routes;  // changes only on a 1DIP rebalance
   std::function<std::vector<float>(int)> read;
   std::function<void(int, int, int)> nack;
   // Every block goes to its owner; 1DIP redoes this per rebalance epoch.
@@ -653,7 +649,6 @@ void run_render(Shared& sh, const Setup& st, vmpi::Comm& world,
     // and marks the step degraded.
     bool degraded = false;
     int nacks_left = kMaxNacksPerStep;
-    // One message per member (independent) or per owned block.
     std::size_t remaining =
         independent ? std::size_t(m) : rank.owned().size();
     while (remaining > 0) {
