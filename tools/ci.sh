@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification, a trace-output smoke test, a stream-delivery smoke
 # test (streamed pipeline and in-situ runs -> viewer decode -> byte-exact
-# frame check), a server churn-chaos stage run under two seeds, a
-# cache-replay stage (zipfian replay digests bit-identical across repeat
-# runs, two seeds, plus the strict CLI parsing contract), an SLO gate
+# frame check), a server churn-chaos stage run under two seeds (plus a CLI
+# run whose digest must equal a committed one), a cache-replay stage
+# (zipfian replay digests bit-identical across repeat runs and equal to
+# committed ones, two seeds, plus the strict CLI parsing contract), an SLO gate
 # (serve + replay runs under two seeds must produce passing e2e-latency
 # verdicts and flight-recorder dumps the validator accepts), a
 # ThreadSanitizer pass over the message-passing runtime and the parallel
@@ -156,19 +157,30 @@ server_chaos() {
     QV_FUZZ_SEED=$seed ./build/tests/test_server_chaos
   done
   # The CLI entry point exercises the same harness end to end, non-zero on
-  # any invariant violation.
-  ./build/tools/quakeviz serve --chaos --clients=6 --steps=40 --seed=11 \
-      >/dev/null
-  echo "server chaos: invariants held under both seeds + CLI run"
+  # any invariant violation; its run digest must equal the committed one.
+  local want got
+  want=fd4af67d285dad3d1f17532885ededa8d2a75026d73215339d0cf294f5891b79
+  got=$(./build/tools/quakeviz serve --chaos --clients=6 --steps=40 \
+      --seed=11 | grep -o 'run digest [0-9a-f]*' | cut -d' ' -f3)
+  [ "$got" = "$want" ] \
+      || { echo "server chaos: CLI run digest ${got:-missing}, pinned $want" >&2
+           return 1; }
+  echo "server chaos: invariants held under both seeds + pinned CLI digest"
 }
 
 cache_replay() {
-  echo "== cache replay: zipfian replay digest stable across repeat runs, two seeds =="
+  echo "== cache replay: zipfian replay digests stable and pinned, two seeds =="
   cmake -B build -S . >/dev/null
   cmake --build build -j "$JOBS" --target quakeviz test_cache
-  local work seed d1 d2
+  local work seed d1 d2 want
   work=$(mktemp -d)
   trap 'rm -rf "$work"' RETURN
+  # Committed run digests per seed: a change that moves every run alike
+  # passes the run-to-run check but not these.
+  local -A pinned=(
+    [1]=258971ef04afdb1493f83a80fa4d8e034e96552caa1fc945748534f9806c88c3
+    [2]=e142673b3c15254aaaf911f043090a773a7a5c14c658ed9a90ceb2663604f952
+  )
   for seed in 1 2; do
     echo "-- --seed=$seed --"
     QV_FUZZ_SEED=$seed ./build/tests/test_cache
@@ -185,6 +197,10 @@ cache_replay() {
     [ "$d1" = "$d2" ] \
         || { echo "cache replay: digest mismatch at seed $seed: $d1 vs $d2" >&2
              return 1; }
+    want="run digest ${pinned[$seed]}"
+    [ "$d1" = "$want" ] \
+        || { echo "cache replay: seed $seed $d1, pinned $want" >&2
+             return 1; }
   done
   # The strict-parsing contract: a malformed numeric flag must exit non-zero
   # and name the flag — never be silently read as zero.
@@ -196,7 +212,7 @@ cache_replay() {
   grep -q 'render-threads' "$work/parse.txt" \
       || { echo "cache replay: parse error does not name the flag" >&2
            return 1; }
-  echo "cache replay: digests stable, hits byte-verified, strict parsing enforced"
+  echo "cache replay: digests stable and pinned, hits byte-verified, strict parsing enforced"
 }
 
 steer_smoke() {
