@@ -113,26 +113,27 @@ SweepPoint sweep_one(double bandwidth) {
   SweepPoint pt;
   pt.bandwidth = bandwidth;
   double latency_sum = 0.0;
-  auto absorb = [&](std::vector<stream::DeliveredFrame> got) {
+  std::vector<stream::DeliveredFrame> batch;
+  auto absorb = [&](const std::vector<stream::DeliveredFrame>& got) {
     for (auto& d : got) {
-      if (!dec.decode(d.wire)) std::abort();
+      if (!dec.decode(*d.wire)) std::abort();
       latency_sum += d.delivered_at - d.sent_at;
       ++pt.delivered;
     }
   };
   for (int s = 0; s < kFrames; ++s) {
     const double now = kCadence * s;
-    absorb(link.poll(now));
+    absorb(link.poll(now, batch));
     auto decision = ctl.on_frame(link.backlog());
     if (decision.drop) {
       ++pt.dropped;
       continue;
     }
     link.send(now, s,
-              enc.encode(s, animation_frame(s), decision.tier,
-                         decision.keyframe));
+              stream::make_wire(enc.encode(s, animation_frame(s),
+                                           decision.tier, decision.keyframe)));
   }
-  absorb(link.drain());
+  absorb(link.drain(batch));
   pt.final_level = ctl.level();
   pt.mean_latency = pt.delivered > 0 ? latency_sum / pt.delivered : 0.0;
   return pt;

@@ -64,7 +64,7 @@ CacheKey content_address(const CacheIdentity& id, int step, int tier,
 
 FrameCache::FrameCache(CacheConfig cfg) : cfg_(cfg) {}
 
-FrameCache::Wire FrameCache::get(const CacheKey& key) {
+Wire FrameCache::get(const CacheKey& key) {
   trace::Span span("cache", "get");
   // The lookup is also an e2e delivery stage: its wall cost is part of what
   // a client waits for, so it feeds the stream.e2e.* waterfall directly.

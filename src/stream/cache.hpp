@@ -30,14 +30,13 @@
 //    the same wire.
 //
 // Thread-safe: a single mutex guards the map + LRU list. Entries are
-// immutable shared_ptr buffers, so readers hold them with no lock.
+// immutable shared Wires, so readers hold them with no lock.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -96,8 +95,6 @@ struct CacheStats {
 
 class FrameCache {
  public:
-  using Wire = std::shared_ptr<const std::vector<std::uint8_t>>;
-
   explicit FrameCache(CacheConfig cfg);
 
   // The stored wire for `key`, promoted to most-recently-used — or nullptr.

@@ -109,13 +109,12 @@ FrameEncoderBank::Tier& FrameEncoderBank::stage(int tier) {
   return t;
 }
 
-std::shared_ptr<const std::vector<std::uint8_t>> FrameEncoderBank::key(
-    int tier) {
+Wire FrameEncoderBank::key(int tier) {
   tier = std::clamp(tier, 0, img::kMaxQuantizeTier);
   Tier& t = stage(tier);
   if (!t.key_wire) {
-    t.key_wire = std::make_shared<const std::vector<std::uint8_t>>(pack_frame(
-        FrameKind::kKey, tier, step_, -1, w_, h_, t.planes, epoch_));
+    t.key_wire = make_wire(pack_frame(FrameKind::kKey, tier, step_, -1, w_,
+                                      h_, t.planes, epoch_));
     ++encodes_;
   } else {
     ++reuses_;
@@ -124,8 +123,7 @@ std::shared_ptr<const std::vector<std::uint8_t>> FrameEncoderBank::key(
   return t.key_wire;
 }
 
-std::shared_ptr<const std::vector<std::uint8_t>> FrameEncoderBank::delta(
-    int tier) {
+Wire FrameEncoderBank::delta(int tier) {
   tier = std::clamp(tier, 0, img::kMaxQuantizeTier);
   Tier& t = stage(tier);
   if (t.ref_step < 0)
@@ -133,9 +131,8 @@ std::shared_ptr<const std::vector<std::uint8_t>> FrameEncoderBank::delta(
   if (!t.delta_wire) {
     scratch_.resize(t.planes.size());
     img::delta_encode(t.ref, t.planes, scratch_);
-    t.delta_wire = std::make_shared<const std::vector<std::uint8_t>>(
-        pack_frame(FrameKind::kDelta, tier, step_, t.ref_step, w_, h_,
-                   scratch_, epoch_));
+    t.delta_wire = make_wire(pack_frame(FrameKind::kDelta, tier, step_,
+                                        t.ref_step, w_, h_, scratch_, epoch_));
     ++encodes_;
   } else {
     ++reuses_;
@@ -218,16 +215,15 @@ std::optional<DecodedFrame> FrameDecoder::decode(
   return out;
 }
 
-bool write_record_file(const std::string& path,
-                       std::span<const std::vector<std::uint8_t>> frames) {
+bool write_record_file(const std::string& path, std::span<const Wire> frames) {
   std::ofstream f(path, std::ios::binary);
   if (!f) return false;
   f.write(kRecordMagic, sizeof(kRecordMagic));
-  for (const auto& w : frames) {
-    std::uint32_t len = std::uint32_t(w.size());
+  for (const Wire& w : frames) {
+    std::uint32_t len = std::uint32_t(w->size());
     f.write(reinterpret_cast<const char*>(&len), sizeof(len));
-    f.write(reinterpret_cast<const char*>(w.data()),
-            std::streamsize(w.size()));
+    f.write(reinterpret_cast<const char*>(w->data()),
+            std::streamsize(w->size()));
   }
   // End-of-stream trailer: without it, a capture truncated at a frame
   // boundary would be indistinguishable from a clean end.

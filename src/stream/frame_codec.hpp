@@ -24,7 +24,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -32,6 +31,7 @@
 
 #include "img/delta.hpp"
 #include "img/image.hpp"
+#include "stream/wire.hpp"
 
 namespace qv::stream {
 
@@ -101,8 +101,8 @@ class FrameEncoder {
 
 // Shared encoder bank for the delivery server: one delta chain per
 // quantization tier, every (step, tier, kind) encoded at most once and the
-// wire bytes handed out as shared buffers, so a thousand clients cost one
-// encode plus per-client queue copies — never per-client encode CPU.
+// wire bytes handed out as shared Wires, so a thousand clients cost one
+// encode and one buffer — never per-client encode CPU or per-client bytes.
 //
 // Chain discipline: a tier's reference advances to step s only if a tier-t
 // wire was emitted at s (committed at the next begin_step), so delta(t)
@@ -125,8 +125,8 @@ class FrameEncoderBank {
 
   // Wire bytes for the staged step, encoded on first demand and cached for
   // the rest of the step. `delta` requires ref_step(tier) >= 0.
-  std::shared_ptr<const std::vector<std::uint8_t>> key(int tier);
-  std::shared_ptr<const std::vector<std::uint8_t>> delta(int tier);
+  Wire key(int tier);
+  Wire delta(int tier);
 
   // Record that tier-t wire for the staged step reached clients WITHOUT
   // this bank encoding it — the delivery path served byte-identical bytes
@@ -159,7 +159,7 @@ class FrameEncoderBank {
     std::vector<std::uint8_t> planes;  // staged quantized planes
     bool staged = false;               // planes valid for the current step
     bool emitted = false;              // some wire was produced this step
-    std::shared_ptr<const std::vector<std::uint8_t>> key_wire, delta_wire;
+    Wire key_wire, delta_wire;
   };
   Tier& stage(int tier);
 
@@ -208,8 +208,7 @@ inline constexpr char kRecordMagic[8] = {'Q', 'V', 'S', 'T', 'R', 'M', '0', '2'}
 inline constexpr std::uint32_t kRecordEndSentinel = 0xFFFFFFFFu;
 
 // Write `frames` (wire messages) to `path`. Returns false on I/O failure.
-bool write_record_file(const std::string& path,
-                       std::span<const std::vector<std::uint8_t>> frames);
+bool write_record_file(const std::string& path, std::span<const Wire> frames);
 
 // Read a record file back into wire messages; nullopt on a missing file,
 // bad magic, a truncated entry, or a missing/inconsistent trailer. When

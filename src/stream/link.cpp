@@ -1,6 +1,7 @@
 #include "stream/link.hpp"
 
 #include <cmath>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -21,9 +22,8 @@ WanLinkConfig WanLink::validated(WanLinkConfig cfg) {
   return cfg;
 }
 
-sim::Process WanLink::transmit(int step, double sent_at,
-                               std::vector<std::uint8_t> wire) {
-  const std::size_t bytes = wire.size();
+sim::Process WanLink::transmit(int step, double sent_at, Wire wire) {
+  const std::size_t bytes = wire->size();
   co_await conn_.acquire();
   co_await faults_.transfer(double(bytes));
   conn_.release();
@@ -36,21 +36,32 @@ sim::Process WanLink::transmit(int step, double sent_at,
   delivered_bytes_ += bytes;
 }
 
-void WanLink::send(double now, int step, std::vector<std::uint8_t> wire) {
+void WanLink::send(double now, int step, Wire wire) {
   engine_.run_until(now);
   ++sent_;
-  sent_bytes_ += wire.size();
+  sent_bytes_ += wire->size();
   transmit(step, engine_.now(), std::move(wire));
 }
 
-std::vector<DeliveredFrame> WanLink::poll(double now) {
-  engine_.run_until(now);
-  return std::exchange(ready_, {});
+// Both buffers keep their capacity: ready_ for the link's next deliveries,
+// `out` for the caller's next batch.
+std::vector<DeliveredFrame>& WanLink::take_ready(
+    std::vector<DeliveredFrame>& out) {
+  out.assign(std::make_move_iterator(ready_.begin()),
+             std::make_move_iterator(ready_.end()));
+  ready_.clear();
+  return out;
 }
 
-std::vector<DeliveredFrame> WanLink::drain() {
+std::vector<DeliveredFrame>& WanLink::poll(double now,
+                                           std::vector<DeliveredFrame>& out) {
+  engine_.run_until(now);
+  return take_ready(out);
+}
+
+std::vector<DeliveredFrame>& WanLink::drain(std::vector<DeliveredFrame>& out) {
   engine_.run();
-  return std::exchange(ready_, {});
+  return take_ready(out);
 }
 
 }  // namespace qv::stream

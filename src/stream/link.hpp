@@ -13,7 +13,10 @@
 // waiting for or on the wire, not those already crossing the last hop.
 //
 // send() never blocks: the send queue is the set of in-flight transfers,
-// and bounding it is the controller's job, not the link's.
+// and bounding it is the controller's job, not the link's. The link holds a
+// reference to each shared Wire, never a copy of its bytes: a frame fanned
+// out to N links is one buffer in memory, whatever each link's accounting
+// says (see in_flight_bytes()).
 #pragma once
 
 #include <cstddef>
@@ -22,6 +25,7 @@
 
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
+#include "stream/wire.hpp"
 
 namespace qv::stream {
 
@@ -38,7 +42,7 @@ struct DeliveredFrame {
   double sent_at = 0.0;       // link-clock time the send was issued
   double delivered_at = 0.0;  // link-clock time the transfer completed
   std::size_t bytes = 0;
-  std::vector<std::uint8_t> wire;
+  Wire wire;  // the very buffer that was sent
 };
 
 class WanLink {
@@ -55,14 +59,17 @@ class WanLink {
         conn_(engine_, 1) {}
 
   // Advance the link model to `now` and enqueue `wire` for transmission.
-  void send(double now, int step, std::vector<std::uint8_t> wire);
+  void send(double now, int step, Wire wire);
 
-  // Advance the model to `now` and take every frame delivered by then.
-  std::vector<DeliveredFrame> poll(double now);
+  // Advance the model to `now` and move every frame delivered by then into
+  // `out`, replacing its contents. The caller keeps `out` across calls, so
+  // a poll reuses its capacity instead of allocating. Returns `out`.
+  std::vector<DeliveredFrame>& poll(double now,
+                                    std::vector<DeliveredFrame>& out);
 
   // Let every in-flight transfer finish (virtual time runs ahead of the
-  // caller's clock) and return the stragglers.
-  std::vector<DeliveredFrame> drain();
+  // caller's clock) and move the stragglers into `out`, as poll does.
+  std::vector<DeliveredFrame>& drain(std::vector<DeliveredFrame>& out);
 
   // Frames sent but not yet delivered, as of the last advance.
   int in_flight() const { return sent_ - delivered_; }
@@ -70,8 +77,10 @@ class WanLink {
   // propagation are excluded: their delay is latency, not congestion, and
   // no degradation of later frames would shorten it.
   int backlog() const { return sent_ - serialized_; }
-  // Queued wire bytes those frames pin (the honest per-client queue memory
-  // the delivery server's byte budget bounds).
+  // Wire bytes of those frames, counted once per send: the per-client queue
+  // the delivery server's byte budget bounds. A buffer shared with other
+  // links counts in full on each of them, so this is a per-link isolation
+  // measure, not the memory the link adds.
   std::size_t in_flight_bytes() const { return sent_bytes_ - delivered_bytes_; }
   double now() const { return engine_.now(); }
   const sim::FaultyBandwidth& faults() const { return faults_; }
@@ -82,8 +91,8 @@ class WanLink {
  private:
   static WanLinkConfig validated(WanLinkConfig cfg);
 
-  sim::Process transmit(int step, double sent_at,
-                        std::vector<std::uint8_t> wire);
+  sim::Process transmit(int step, double sent_at, Wire wire);
+  std::vector<DeliveredFrame>& take_ready(std::vector<DeliveredFrame>& out);
 
   WanLinkConfig cfg_;
   sim::Engine engine_;

@@ -112,6 +112,7 @@ ReplayReport run_replay(const ReplayConfig& cfg) {
   // this ideal solo crossing is queue wait behind earlier frames.
   const double bw = links[0]->config().bandwidth_bytes_per_s;
   const double prop = links[0]->config().latency_s;
+  std::vector<DeliveredFrame> batch;  // every link's poll and drain reuse it
   auto observe_delivery = [&](int client, const DeliveredFrame& d) {
     const double lat = d.delivered_at - d.sent_at;
     client_lat[std::size_t(client)].push_back(lat);
@@ -137,7 +138,7 @@ ReplayReport run_replay(const ReplayConfig& cfg) {
 
     const bool timed = metrics::enabled() || obs::lineage::enabled();
     const std::int64_t lookup_t0 = timed ? trace::now_since_epoch_ns() : 0;
-    FrameCache::Wire wire = cache.get(key);
+    Wire wire = cache.get(key);
     if (obs::lineage::enabled()) {
       obs::lineage::record_wall(
           obs::lineage::Stage::kCacheLookup, step, /*epoch=*/0,
@@ -161,7 +162,7 @@ ReplayReport run_replay(const ReplayConfig& cfg) {
       const std::int64_t enc_t0 = timed ? trace::now_since_epoch_ns() : 0;
       const img::Image8 frame =
           chaos_frame(cfg.width, cfg.height, kFrameSeed, step);
-      auto wire_vec = encoder.encode(step, frame, tier, /*keyframe=*/true);
+      wire = make_wire(encoder.encode(step, frame, tier, /*keyframe=*/true));
       if (timed) {
         const double enc_s =
             double(trace::now_since_epoch_ns() - enc_t0) * 1e-9;
@@ -177,11 +178,9 @@ ReplayReport run_replay(const ReplayConfig& cfg) {
       m.renders.add();
       if (cfg.verify) {
         util::Sha256 h;
-        h.update(wire_vec.data(), wire_vec.size());
+        h.update(wire->data(), wire->size());
         golden[key] = h.digest();
       }
-      wire = std::make_shared<const std::vector<std::uint8_t>>(
-          std::move(wire_vec));
       cache.put(key, wire);
     }
 
@@ -195,15 +194,14 @@ ReplayReport run_replay(const ReplayConfig& cfg) {
     put_pod(log, std::uint8_t(hit));
     put_pod(log, std::uint64_t(wire->size()));
 
-    links[std::size_t(client)]->send(now, step,
-                                     std::vector<std::uint8_t>(*wire));
+    links[std::size_t(client)]->send(now, step, wire);
     if (obs::lineage::enabled()) {
       obs::lineage::record_virtual(obs::lineage::Stage::kEnqueue, step,
                                    /*epoch=*/0,
                                    obs::lineage::ChannelKind::kClient, client,
                                    now);
     }
-    for (auto& d : links[std::size_t(client)]->poll(now)) {
+    for (const auto& d : links[std::size_t(client)]->poll(now, batch)) {
       ++rep.frames_delivered;
       observe_delivery(client, d);
       put_pod(log, d.step);
@@ -212,7 +210,7 @@ ReplayReport run_replay(const ReplayConfig& cfg) {
     }
   }
   for (std::size_t c = 0; c < links.size(); ++c) {
-    for (auto& d : links[c]->drain()) {
+    for (const auto& d : links[c]->drain(batch)) {
       ++rep.frames_delivered;
       observe_delivery(int(c), d);
       put_pod(log, std::uint64_t(c));

@@ -218,7 +218,7 @@ void DeliveryServer::leave(double now, int id) {
   // Graceful: the leave ack is queued last, everything already in flight
   // finishes crossing, and the client sees all of it (FIFO).
   send_control(c, now, ControlKind::kLeaveAck);
-  handle_batch(c, c.link->drain());
+  handle_batch(c, std::nullopt);
   c.link.reset();
   c.connected = false;
   c.rep.connected = false;
@@ -234,10 +234,10 @@ void DeliveryServer::send_control(Client& c, double now, ControlKind kind) {
   msg.client_id = c.rep.id;
   msg.step = last_step_;
   msg.time = now;
-  auto wire = encode_control(msg);
-  rep_.bytes_out += wire.size();
-  c.rep.bytes_sent += wire.size();
-  m.bytes_out.add(wire.size());
+  Wire wire = make_wire(encode_control(msg));
+  rep_.bytes_out += wire->size();
+  c.rep.bytes_sent += wire->size();
+  m.bytes_out.add(wire->size());
   m.control_out.add();
   c.link->send(now, /*step=*/-1, std::move(wire));
 }
@@ -249,7 +249,8 @@ void DeliveryServer::evict(Client& c, double now) {
   // queued bytes are discarded — the client lost them, which is exactly why
   // its next frame after a reconnect must be a keyframe.
   send_control(c, now, ControlKind::kEvict);
-  c.link->drain();  // let virtual transfers finish; discard the deliveries
+  c.link->drain(batch_);  // let virtual transfers finish; discard them
+  batch_.clear();
   c.link.reset();
   c.connected = false;
   c.rep.connected = false;
@@ -268,12 +269,20 @@ void DeliveryServer::evict(Client& c, double now) {
   }
 }
 
-void DeliveryServer::handle_batch(Client& c,
-                                  std::vector<DeliveredFrame> delivered) {
+// Take c's deliveries into batch_ (those due by `now`, or every one still in
+// flight when `now` is empty), account and verify each, then release their
+// Wires. The one delivery path for poll, leave and finish; returns how many
+// frames and control messages arrived.
+std::size_t DeliveryServer::handle_batch(Client& c, std::optional<double> now) {
   auto& m = ServerMetrics::get();
-  for (auto& d : delivered) {
-    if (is_control_wire(d.wire)) {
-      if (decode_control(d.wire)) {
+  if (now)
+    c.link->poll(*now, batch_);
+  else
+    c.link->drain(batch_);
+  for (const DeliveredFrame& d : batch_) {
+    const std::vector<std::uint8_t>& bytes = *d.wire;
+    if (is_control_wire(bytes)) {
+      if (decode_control(bytes)) {
         ++c.rep.control_delivered;
       } else {
         ++c.rep.decode_failures;
@@ -285,9 +294,9 @@ void DeliveryServer::handle_batch(Client& c,
     // The header's (step, epoch) is the frame id every lineage event below
     // carries — readable even when the payload fails to decode.
     std::uint32_t frame_epoch = 0;
-    if (d.wire.size() >= sizeof(FrameHeader)) {
+    if (bytes.size() >= sizeof(FrameHeader)) {
       FrameHeader h;
-      std::memcpy(&h, d.wire.data(), sizeof(h));
+      std::memcpy(&h, bytes.data(), sizeof(h));
       frame_epoch = h.epoch;
     }
     ClientReport::Delivery rec;
@@ -315,7 +324,7 @@ void DeliveryServer::handle_batch(Client& c,
     if (cfg_.verify_clients) {
       const bool timed = metrics::enabled() || obs::lineage::enabled();
       const std::int64_t t0 = timed ? trace::now_since_epoch_ns() : 0;
-      auto frame = c.viewer.decode(d.wire);
+      auto frame = c.viewer.decode(bytes);
       const double decode_s =
           timed ? double(trace::now_since_epoch_ns() - t0) * 1e-9 : 0.0;
       if (metrics::enabled()) m.e2e_decode.observe(decode_s);
@@ -338,11 +347,11 @@ void DeliveryServer::handle_batch(Client& c,
         cfg_.capture->frames.push_back({c.rep.id, frame->step, frame->epoch,
                                         frame->tier, frame->base_step,
                                         rec.keyframe,
-                                        std::move(frame->image)});
+                                        std::move(frame->image), &bytes});
       }
-    } else if (d.wire.size() >= sizeof(FrameHeader)) {
+    } else if (bytes.size() >= sizeof(FrameHeader)) {
       FrameHeader h;
-      std::memcpy(&h, d.wire.data(), sizeof(h));
+      std::memcpy(&h, bytes.data(), sizeof(h));
       rec.tier = h.tier;
       rec.keyframe = h.kind == std::uint8_t(FrameKind::kKey);
       rec.base_step = rec.keyframe ? -1 : h.base_step;
@@ -357,6 +366,9 @@ void DeliveryServer::handle_batch(Client& c,
     if (metrics::enabled()) m.latency.observe(rec.latency_s);
     c.rep.deliveries.push_back(rec);
   }
+  const std::size_t n = batch_.size();
+  batch_.clear();
+  return n;
 }
 
 // Seconds of [from, to] the link's seeded outage schedule had the line down.
@@ -374,9 +386,7 @@ static double outage_overlap(const WanLink& link, double from, double to) {
 
 void DeliveryServer::service(Client& c, double now) {
   if (!c.connected || !c.link) return;
-  auto delivered = c.link->poll(now);
-  if (!delivered.empty()) c.last_progress = now;
-  handle_batch(c, std::move(delivered));
+  if (handle_batch(c, now) > 0) c.last_progress = now;
   if (c.link->in_flight() == 0) {
     c.last_progress = now;
   } else {
@@ -442,11 +452,8 @@ void DeliveryServer::submit(double now, int step, const img::Image8& frame) {
   // meaningful only inside this bank's chain (see stream/cache.hpp), so the
   // delta path below always goes straight to the bank. On a hit the bank
   // still learns the tier was emitted, keeping later deltas decodable.
-  std::array<std::shared_ptr<const std::vector<std::uint8_t>>,
-             img::kMaxQuantizeTier + 1>
-      key_memo{};
-  auto fetch_key =
-      [&](int tier) -> std::shared_ptr<const std::vector<std::uint8_t>> {
+  std::array<Wire, img::kMaxQuantizeTier + 1> key_memo{};
+  auto fetch_key = [&](int tier) -> Wire {
     if (!cfg_.cache) return bank_.key(tier);
     tier = std::clamp(tier, 0, img::kMaxQuantizeTier);  // match bank_.key
     auto& memo = key_memo[std::size_t(tier)];
@@ -480,11 +487,11 @@ void DeliveryServer::submit(double now, int step, const img::Image8& frame) {
                      bank_.ref_step(tier) < 0 ||
                      bank_.ref_step(tier) != c.chain_step;
     bool drop = d.drop;
-    std::shared_ptr<const std::vector<std::uint8_t>> wire;
+    Wire wire;
     if (!drop) {
-      // Encode stage of the e2e waterfall: the wall cost of materializing
-      // this client's wire bytes (an actual encode on first demand, a
-      // near-free bank/cache reuse after — the histogram shows both modes).
+      // Encode stage of the e2e waterfall: the wall cost of obtaining this
+      // client's Wire (an actual encode on first demand, a near-free
+      // bank/cache reuse after — the histogram shows both modes).
       const bool timed = metrics::enabled() || obs::lineage::enabled();
       const std::int64_t t0 = timed ? trace::now_since_epoch_ns() : 0;
       wire = key ? fetch_key(tier) : bank_.delta(tier);
@@ -498,7 +505,8 @@ void DeliveryServer::submit(double now, int step, const img::Image8& frame) {
         }
       }
       // The byte budget is the hard isolation boundary: a client that can't
-      // take this frame within budget loses THIS frame only.
+      // take this frame within budget loses THIS frame only. It counts the
+      // client's queued bytes in full although the buffers are shared.
       if (c.link->in_flight_bytes() + wire->size() > cfg_.queue_budget_bytes)
         drop = true;
     }
@@ -519,7 +527,7 @@ void DeliveryServer::submit(double now, int step, const img::Image8& frame) {
     }
     {
       trace::Span enq("server", "enqueue", step);
-      c.link->send(now, step, std::vector<std::uint8_t>(*wire));
+      c.link->send(now, step, wire);  // the shared buffer, not a copy
     }
     if (obs::lineage::enabled()) {
       obs::lineage::record_virtual(obs::lineage::Stage::kEnqueue, step, epoch_,
@@ -579,7 +587,7 @@ ServerReport DeliveryServer::finish() {
     Client& c = *cp;
     if (!c.connected || !c.link) continue;
     // Graceful shutdown: stragglers finish crossing and reach the viewer.
-    handle_batch(c, c.link->drain());
+    handle_batch(c, std::nullopt);
     c.link.reset();
     c.connected = false;
     c.rep.connected = true;  // connected through the end of the run

@@ -8,9 +8,10 @@
 //
 //  * A slow client must never cost encode CPU or stall a fast one. Every
 //    (frame, tier, kind) is encoded ONCE by the shared FrameEncoderBank and
-//    the wire bytes fanned out; each client has its own WanLink (own virtual
-//    clock, bandwidth, outage schedule), so backpressure isolation is a
-//    structural property, not a scheduling hope.
+//    the one immutable Wire fanned out by reference (no per-client copy);
+//    each client has its own WanLink (own virtual clock, bandwidth, outage
+//    schedule), so backpressure isolation is a structural property, not a
+//    scheduling hope.
 //  * A slow client must cost bounded queue memory. Each client has a byte
 //    budget over its in-flight wire bytes; a frame that would exceed it is
 //    dropped FOR THAT CLIENT ONLY, and the next frame it does receive is a
@@ -89,6 +90,9 @@ struct ServerCapture {
     int base_step = -1;
     bool keyframe = false;
     img::Image8 image;
+    // The delivered buffer, for identity checks only (not owned; it may be
+    // freed once the delivery is handled).
+    const std::vector<std::uint8_t>* wire = nullptr;
   };
   std::vector<Frame> frames;
 };
@@ -237,7 +241,7 @@ class DeliveryServer {
  private:
   struct Client;
   void service(Client& c, double now);
-  void handle_batch(Client& c, std::vector<DeliveredFrame> delivered);
+  std::size_t handle_batch(Client& c, std::optional<double> now);
   void evict(Client& c, double now);
   void send_control(Client& c, double now, ControlKind kind);
   void observe_queues();
@@ -247,6 +251,10 @@ class DeliveryServer {
   FrameEncoderBank bank_;
   SteerInbox steer_inbox_;
   std::vector<std::unique_ptr<Client>> clients_;
+  // One delivery batch for every client's poll and drain: its capacity is
+  // reused, and it is emptied after each client so no Wire outlives its
+  // handling here.
+  std::vector<DeliveredFrame> batch_;
   ServerReport rep_;
   int last_step_ = -1;
   std::uint32_t epoch_ = 0;

@@ -65,14 +65,16 @@ void StreamSession::apply_view_change(std::uint32_t epoch) {
   encoder_.invalidate_chain();
 }
 
-void StreamSession::handle_deliveries(std::vector<DeliveredFrame> delivered) {
+// Decode, verify and account every frame in batch_ (filled by the link's
+// poll or drain), then release the batch's Wires.
+void StreamSession::handle_deliveries() {
   auto& m = StreamMetrics::get();
-  for (auto& d : delivered) {
+  for (DeliveredFrame& d : batch_) {
     const double lat = d.delivered_at - d.sent_at;
     std::uint32_t frame_epoch = 0;
-    if (d.wire.size() >= sizeof(FrameHeader)) {
+    if (d.wire->size() >= sizeof(FrameHeader)) {
       FrameHeader h;
-      std::memcpy(&h, d.wire.data(), sizeof(h));
+      std::memcpy(&h, d.wire->data(), sizeof(h));
       frame_epoch = h.epoch;
     }
     if (obs::lineage::enabled()) {
@@ -89,7 +91,7 @@ void StreamSession::handle_deliveries(std::vector<DeliveredFrame> delivered) {
     }
     const bool timed = metrics::enabled() || obs::lineage::enabled();
     const std::int64_t t0 = timed ? trace::now_since_epoch_ns() : 0;
-    auto frame = viewer_.decode(d.wire);
+    auto frame = viewer_.decode(*d.wire);
     if (timed) {
       const double decode_s = double(trace::now_since_epoch_ns() - t0) * 1e-9;
       if (metrics::enabled()) m.e2e_decode.observe(decode_s);
@@ -118,12 +120,14 @@ void StreamSession::handle_deliveries(std::vector<DeliveredFrame> delivered) {
     }
     if (!cfg_.record_path.empty()) record_.push_back(std::move(d.wire));
   }
+  batch_.clear();
 }
 
 void StreamSession::submit(double now, int step, const img::Image8& frame) {
   auto& m = StreamMetrics::get();
   ++rep_.frames_submitted;
-  handle_deliveries(link_.poll(now));
+  link_.poll(now, batch_);
+  handle_deliveries();
 
   const int depth = link_.backlog();
   const std::size_t queued = link_.in_flight_bytes();
@@ -144,12 +148,12 @@ void StreamSession::submit(double now, int step, const img::Image8& frame) {
     return;
   }
 
-  std::vector<std::uint8_t> wire;
+  Wire wire;
   {
     trace::Span span("stream", "encode", step);
     const bool timed = metrics::enabled() || obs::lineage::enabled();
     const std::int64_t t0 = timed ? trace::now_since_epoch_ns() : 0;
-    wire = encoder_.encode(step, frame, d.tier, d.keyframe);
+    wire = make_wire(encoder_.encode(step, frame, d.tier, d.keyframe));
     if (timed) {
       const double enc_s = double(trace::now_since_epoch_ns() - t0) * 1e-9;
       if (metrics::enabled()) m.e2e_encode.observe(enc_s);
@@ -163,13 +167,13 @@ void StreamSession::submit(double now, int step, const img::Image8& frame) {
   // Count keyframes off the wire header: the first frame is one regardless
   // of what the controller asked for.
   FrameHeader h;
-  std::memcpy(&h, wire.data(), sizeof(h));
+  std::memcpy(&h, wire->data(), sizeof(h));
   if (h.kind == std::uint8_t(FrameKind::kKey)) {
     ++rep_.keyframes;
     m.keyframes.add();
   }
-  rep_.bytes_out += wire.size();
-  m.bytes_out.add(wire.size());
+  rep_.bytes_out += wire->size();
+  m.bytes_out.add(wire->size());
   link_.send(now, step, std::move(wire));
   if (obs::lineage::enabled()) {
     obs::lineage::record_virtual(obs::lineage::Stage::kEnqueue, step, epoch_,
@@ -183,7 +187,8 @@ void StreamSession::submit(double now, int step, const img::Image8& frame) {
 }
 
 StreamReport StreamSession::finish() {
-  handle_deliveries(link_.drain());
+  link_.drain(batch_);
+  handle_deliveries();
   StreamMetrics::get().queue_bytes.set(0.0);  // drained
   if (!cfg_.record_path.empty()) write_record_file(cfg_.record_path, record_);
   rep_.final_level = controller_.level();

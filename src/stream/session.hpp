@@ -94,7 +94,7 @@ class StreamSession {
   StreamReport finish();
 
  private:
-  void handle_deliveries(std::vector<DeliveredFrame> delivered);
+  void handle_deliveries();
 
   std::uint32_t epoch_ = 0;
   StreamConfig cfg_;
@@ -105,7 +105,8 @@ class StreamSession {
   DegradationController controller_;
   StreamReport rep_;
   double latency_sum_ = 0.0;
-  std::vector<std::vector<std::uint8_t>> record_;
+  std::vector<DeliveredFrame> batch_;  // reused by every poll and the drain
+  std::vector<Wire> record_;           // delivered wires, for --stream-record
 };
 
 }  // namespace qv::stream

@@ -25,7 +25,7 @@ std::uint64_t fuzz_seed() {
   return 1;
 }
 
-FrameCache::Wire wire_of(std::size_t n, std::uint8_t fill) {
+Wire wire_of(std::size_t n, std::uint8_t fill) {
   return std::make_shared<const std::vector<std::uint8_t>>(n, fill);
 }
 

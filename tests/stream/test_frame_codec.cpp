@@ -180,9 +180,12 @@ class StreamRecordTest : public ::testing::Test {
               ::testing::UnitTest::GetInstance()->current_test_info()->name()))
                 .string();
     FrameEncoder enc(16, 12);
-    for (int s = 0; s < 3; ++s)
+    std::vector<Wire> wires;
+    for (int s = 0; s < 3; ++s) {
       frames_.push_back(enc.encode(s, test_frame(16, 12, s)));
-    ASSERT_TRUE(write_record_file(path_, frames_));
+      wires.push_back(make_wire(frames_.back()));
+    }
+    ASSERT_TRUE(write_record_file(path_, wires));
   }
   void TearDown() override { std::filesystem::remove(path_); }
 

@@ -11,8 +11,8 @@
 namespace qv::stream {
 namespace {
 
-std::vector<std::uint8_t> bytes(std::size_t n) {
-  return std::vector<std::uint8_t>(n, 0xAB);
+Wire bytes(std::size_t n) {
+  return make_wire(std::vector<std::uint8_t>(n, 0xAB));
 }
 
 TEST(WanLink, SingleTransferMatchesAnalyticTime) {
@@ -20,10 +20,11 @@ TEST(WanLink, SingleTransferMatchesAnalyticTime) {
   cfg.bandwidth_bytes_per_s = 1000.0;
   cfg.latency_s = 0.5;
   WanLink link(cfg);
+  std::vector<DeliveredFrame> buf;
   link.send(0.0, 0, bytes(2000));  // 2 s of service + 0.5 s latency
   EXPECT_EQ(link.in_flight(), 1);
-  EXPECT_TRUE(link.poll(2.4).empty());
-  auto got = link.poll(2.6);
+  EXPECT_TRUE(link.poll(2.4, buf).empty());
+  auto got = link.poll(2.6, buf);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].step, 0);
   EXPECT_NEAR(got[0].delivered_at - got[0].sent_at, 2.5, 1e-6);
@@ -37,15 +38,16 @@ TEST(WanLink, QueuedFramesSerializeFifo) {
   cfg.bandwidth_bytes_per_s = 1000.0;
   cfg.latency_s = 0.0;
   WanLink link(cfg);
+  std::vector<DeliveredFrame> buf;
   link.send(0.0, 0, bytes(1000));
   link.send(0.0, 1, bytes(1000));
   EXPECT_EQ(link.in_flight(), 2);
-  auto first = link.poll(1.5);
+  auto first = link.poll(1.5, buf);
   ASSERT_EQ(first.size(), 1u);  // head of line done at 1.0, second at 2.0
   EXPECT_EQ(first[0].step, 0);
   EXPECT_NEAR(first[0].delivered_at, 1.0, 1e-6);
   EXPECT_EQ(link.in_flight(), 1);
-  auto second = link.poll(2.1);
+  auto second = link.poll(2.1, buf);
   ASSERT_EQ(second.size(), 1u);
   EXPECT_EQ(second[0].step, 1);
   EXPECT_NEAR(second[0].delivered_at, 2.0, 1e-6);
@@ -58,16 +60,17 @@ TEST(WanLink, BacklogExcludesFramesInPropagation) {
   cfg.bandwidth_bytes_per_s = 1000.0;
   cfg.latency_s = 0.5;
   WanLink link(cfg);
+  std::vector<DeliveredFrame> buf;
   link.send(0.0, 0, bytes(1000));
   link.send(0.0, 1, bytes(1000));
   EXPECT_EQ(link.backlog(), 2);
-  EXPECT_TRUE(link.poll(1.2).empty());
+  EXPECT_TRUE(link.poll(1.2, buf).empty());
   EXPECT_EQ(link.backlog(), 1);
   EXPECT_EQ(link.in_flight(), 2);
-  EXPECT_EQ(link.poll(2.2).size(), 1u);
+  EXPECT_EQ(link.poll(2.2, buf).size(), 1u);
   EXPECT_EQ(link.backlog(), 0);
   EXPECT_EQ(link.in_flight(), 1);
-  EXPECT_EQ(link.drain().size(), 1u);
+  EXPECT_EQ(link.drain(buf).size(), 1u);
   EXPECT_EQ(link.backlog(), 0);
   EXPECT_EQ(link.in_flight(), 0);
 }
@@ -77,8 +80,9 @@ TEST(WanLink, LatencyOnlyLinkDeliversInOrder) {
   cfg.bandwidth_bytes_per_s = 1e12;  // effectively latency-only
   cfg.latency_s = 0.1;
   WanLink link(cfg);
+  std::vector<DeliveredFrame> buf;
   for (int s = 0; s < 4; ++s) link.send(0.25 * s, s, bytes(64));
-  auto got = link.drain();
+  auto got = link.drain(buf);
   ASSERT_EQ(got.size(), 4u);
   for (int s = 0; s < 4; ++s) {
     EXPECT_EQ(got[std::size_t(s)].step, s);
@@ -113,8 +117,9 @@ TEST(WanLink, SeededOutagesAreDeterministic) {
   cfg.fault.horizon_seconds = 100.0;
   auto run = [&cfg]() {
     WanLink link(cfg);
+    std::vector<DeliveredFrame> buf;
     for (int s = 0; s < 8; ++s) link.send(0.2 * s, s, bytes(2000));
-    return link.drain();
+    return link.drain(buf);
   };
   auto a = run();
   auto b = run();
@@ -137,13 +142,49 @@ TEST(WanLink, InFlightTracksBacklog) {
   cfg.bandwidth_bytes_per_s = 100.0;  // 1 s per 100-byte frame
   cfg.latency_s = 0.0;
   WanLink link(cfg);
+  std::vector<DeliveredFrame> buf;
   for (int s = 0; s < 5; ++s) link.send(0.0, s, bytes(100));
   EXPECT_EQ(link.in_flight(), 5);
-  auto got = link.poll(2.55);  // FIFO: frames complete at t = 1, 2, 3, 4, 5
+  // FIFO: frames complete at t = 1, 2, 3, 4, 5.
+  auto got = link.poll(2.55, buf);
   EXPECT_EQ(got.size(), 2u);
   EXPECT_EQ(link.in_flight(), 3);
-  link.drain();
+  link.drain(buf);
   EXPECT_EQ(link.in_flight(), 0);
+}
+
+TEST(WanLink, DeliversTheSentBufferAndCountsItPerSend) {
+  // One buffer sent twice on one link and once on another: every delivery
+  // holds that very buffer (no copy), while each link's queue accounting
+  // counts its bytes once per send.
+  WanLinkConfig cfg;
+  cfg.bandwidth_bytes_per_s = 1000.0;
+  cfg.latency_s = 0.0;
+  WanLink a(cfg), b(cfg);
+  const Wire w = bytes(500);
+  a.send(0.0, 0, w);
+  a.send(0.0, 1, w);
+  b.send(0.0, 0, w);
+  EXPECT_EQ(a.in_flight_bytes(), 1000u);
+  EXPECT_EQ(b.in_flight_bytes(), 500u);
+  EXPECT_EQ(w.use_count(), 4);  // ours + three queued sends
+
+  std::vector<DeliveredFrame> buf;
+  ASSERT_EQ(a.poll(0.75, buf).size(), 1u);  // first done at 0.5, second at 1
+  EXPECT_EQ(buf[0].wire.get(), w.get());
+  EXPECT_EQ(buf[0].bytes, 500u);
+  EXPECT_EQ(a.in_flight_bytes(), 500u);
+  ASSERT_EQ(a.drain(buf).size(), 1u);  // replaces the batch, reusing it
+  EXPECT_EQ(buf[0].wire.get(), w.get());
+  EXPECT_EQ(a.in_flight_bytes(), 0u);
+  ASSERT_EQ(b.drain(buf).size(), 1u);
+  EXPECT_EQ(buf[0].wire.get(), w.get());
+  EXPECT_EQ(b.in_flight_bytes(), 0u);
+  // The links let go of the buffer once it is delivered; only the batch
+  // entry still holds it.
+  EXPECT_EQ(w.use_count(), 2);
+  buf.clear();
+  EXPECT_EQ(w.use_count(), 1);
 }
 
 TEST(WanLink, ActiveFaultWithoutHorizonSchedulesOutages) {

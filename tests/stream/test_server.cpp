@@ -204,6 +204,37 @@ TEST(DeliveryServer, FanOutSharesEncodesAndDeliversIdenticalStreams) {
   }
 }
 
+TEST(DeliveryServer, SameTierClientsShareOneKeyframeBuffer) {
+  // One submit to several same-tier clients: every link holds the one
+  // keyframe buffer the cache and the bank hold (no per-client copy), every
+  // delivery of that step is that buffer, and each link lets go of it as
+  // its delivery is handled.
+  constexpr int kClients = 5;
+  ServerConfig cfg;
+  cfg.cache = std::make_shared<FrameCache>(CacheConfig{});
+  cfg.identity.dataset_id = "shared-wire";
+  ServerCapture capture;
+  cfg.capture = &capture;
+  DeliveryServer server(cfg, kW, kH);
+  for (int i = 0; i < kClients; ++i) server.join(0.0, fast_link());
+  server.submit(0.0, 0, frame_at(0));
+  const Wire key =
+      cfg.cache->get(content_address(cfg.identity, 0, 0, FrameKind::kKey));
+  ASSERT_TRUE(key);
+  // Holders: this test, the cache, the bank's staged step, every link.
+  EXPECT_EQ(key.use_count(), 3 + kClients);
+
+  server.poll(1.0);
+  ASSERT_EQ(capture.frames.size(), std::size_t(kClients));
+  for (const auto& f : capture.frames) {
+    EXPECT_EQ(f.step, 0);
+    EXPECT_EQ(f.tier, 0);
+    EXPECT_EQ(f.wire, key.get()) << "client " << f.client;
+  }
+  EXPECT_EQ(key.use_count(), 3);
+  EXPECT_EQ(server.total_queue_bytes(), 0u);
+}
+
 TEST(DeliveryServer, EncodeWorkIndependentOfClientCount) {
   // The whole point of the shared bank: 1 client or 12, same encode count.
   std::uint64_t encodes_small = 0, encodes_large = 0;
