@@ -19,12 +19,23 @@
 
 #include <algorithm>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <new>
 #include <queue>
 #include <stdexcept>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#define QV_SIM_POISON(p, n) ASAN_POISON_MEMORY_REGION(p, n)
+#define QV_SIM_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION(p, n)
+#else
+#define QV_SIM_POISON(p, n) ((void)(p), (void)(n))
+#define QV_SIM_UNPOISON(p, n) ((void)(p), (void)(n))
+#endif
 
 namespace qv::sim {
 
@@ -88,10 +99,109 @@ class Engine {
   std::uint64_t seq_ = 0;
 };
 
+namespace detail {
+
+// Per-thread free lists of coroutine frames, one per frame size (a program
+// has a handful of coroutine functions, so a handful of sizes). A served
+// frame spawns one WanLink::transmit per client; recycling their frames
+// keeps that fan-out off the heap. A list holds at most as many frames as
+// were once alive together on its thread, and returns them to the heap when
+// the thread exits. Under ASan a pooled frame stays poisoned until reused,
+// so a use after completion is still reported.
+class FramePool {
+ public:
+  FramePool() = default;
+  FramePool(const FramePool&) = delete;
+  FramePool& operator=(const FramePool&) = delete;
+  ~FramePool() {
+    for (List& l : lists_) {
+      while (Node* n = pop(l)) ::operator delete(n);
+    }
+    gone() = true;
+  }
+
+  // The calling thread's pool, or nullptr once it is destroyed (a frame
+  // freed by a later thread-exit destructor goes straight to the heap).
+  static FramePool* local() {
+    if (gone()) return nullptr;
+    thread_local FramePool pool;
+    return &pool;
+  }
+
+  void* take(std::size_t n) {
+    if (List* l = find(n)) {
+      if (Node* p = pop(*l)) return p;
+    }
+    return ::operator new(n);
+  }
+
+  void give(void* p, std::size_t n) noexcept {
+    List* list = find(n);
+    if (!list) {
+      try {
+        list = &lists_.emplace_back(List{n, nullptr});
+      } catch (...) {
+        ::operator delete(p);
+        return;
+      }
+    }
+    Node* node = static_cast<Node*>(p);
+    node->next = list->head;
+    list->head = node;
+    QV_SIM_POISON(p, n);
+  }
+
+ private:
+  struct Node {
+    Node* next;
+  };
+  struct List {
+    std::size_t size;
+    Node* head;
+  };
+
+  List* find(std::size_t n) noexcept {
+    for (List& l : lists_) {
+      if (l.size == n) return &l;
+    }
+    return nullptr;
+  }
+
+  Node* pop(List& l) noexcept {
+    Node* p = l.head;
+    if (!p) return nullptr;
+    QV_SIM_UNPOISON(p, l.size);
+    l.head = p->next;
+    return p;
+  }
+
+  static bool& gone() {
+    thread_local bool destroyed = false;
+    return destroyed;
+  }
+
+  std::vector<List> lists_;
+};
+
+}  // namespace detail
+
 // Fire-and-forget coroutine task. Runs eagerly until its first suspension;
-// destroys itself on completion.
+// destroys itself on completion. Its frames come from the thread's
+// detail::FramePool, not from a fresh heap allocation each time.
 struct Process {
   struct promise_type {
+    static void* operator new(std::size_t n) {
+      if (detail::FramePool* pool = detail::FramePool::local())
+        return pool->take(n);
+      return ::operator new(n);
+    }
+    static void operator delete(void* p, std::size_t n) noexcept {
+      if (detail::FramePool* pool = detail::FramePool::local())
+        pool->give(p, n);
+      else
+        ::operator delete(p);
+    }
+
     Process get_return_object() { return {}; }
     std::suspend_never initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }
@@ -235,25 +345,27 @@ class SharedBandwidth {
     // the current clock value.
     double eps = rate_per_stream() * 1e-9 + 1e-12;
     settle();
-    // Resume every transfer that has finished.
-    std::vector<std::coroutine_handle<>> done;
-    std::deque<Xfer> still;
-    for (auto& x : active_) {
+    // Resume every transfer that has finished; the rest keep their order.
+    // Both lists are members so a completion reuses their capacity.
+    done_.clear();
+    auto keep = active_.begin();
+    for (const Xfer& x : active_) {
       if (x.remaining <= eps) {
-        done.push_back(x.h);
+        done_.push_back(x.h);
       } else {
-        still.push_back(x);
+        *keep++ = x;
       }
     }
-    active_ = std::move(still);
-    for (auto h : done) engine_.schedule(engine_.now(), [h] { h.resume(); });
+    active_.erase(keep, active_.end());
+    for (auto h : done_) engine_.schedule(engine_.now(), [h] { h.resume(); });
     reschedule();
   }
 
   Engine& engine_;
   double total_;
   double cap_;
-  std::deque<Xfer> active_;
+  std::vector<Xfer> active_;
+  std::vector<std::coroutine_handle<>> done_;
   Time last_update_ = 0.0;
   std::uint64_t generation_ = 0;
 };

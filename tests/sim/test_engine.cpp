@@ -2,7 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <vector>
+
+// Every global operator new in this test binary is counted per thread, so a
+// test can show that a recycled coroutine frame never reaches the heap.
+namespace {
+thread_local std::uint64_t t_heap_news = 0;
+}
+
+void* operator new(std::size_t n) {
+  ++t_heap_news;
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+// GCC flags free() on memory from operator new once these are inlined; here
+// both sides are this file's malloc/free pair.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace qv::sim {
 namespace {
@@ -39,6 +61,26 @@ TEST(Engine, DelayAwaitAdvancesClock) {
   proc(e, seen);
   e.run();
   EXPECT_DOUBLE_EQ(seen, 4.0);
+}
+
+TEST(Process, FinishedFramesAreRecycledWithoutTheHeap) {
+  Engine e;
+  int done = 0;
+  auto proc = [](Engine& eng, int& count) -> Process {
+    co_await delay(eng, 1.0);
+    ++count;
+  };
+  // Warm-up: four frames alive at once come from the heap and return to the
+  // thread's pool; the event queue reaches its working capacity.
+  for (int i = 0; i < 4; ++i) proc(e, done);
+  e.run();
+  const std::uint64_t before = t_heap_news;
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < 4; ++i) proc(e, done);
+    e.run();
+  }
+  EXPECT_EQ(t_heap_news - before, 0u);
+  EXPECT_EQ(done, 4 + 50 * 4);
 }
 
 TEST(Resource, CapacityLimitsConcurrency) {
