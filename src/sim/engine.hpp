@@ -30,11 +30,6 @@
 
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/asan_interface.h>
-#define QV_SIM_POISON(p, n) ASAN_POISON_MEMORY_REGION(p, n)
-#define QV_SIM_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION(p, n)
-#else
-#define QV_SIM_POISON(p, n) ((void)(p), (void)(n))
-#define QV_SIM_UNPOISON(p, n) ((void)(p), (void)(n))
 #endif
 
 namespace qv::sim {
@@ -106,8 +101,9 @@ namespace detail {
 // frame spawns one WanLink::transmit per client; recycling their frames
 // keeps that fan-out off the heap. A list holds at most as many frames as
 // were once alive together on its thread, and returns them to the heap when
-// the thread exits. Under ASan a pooled frame stays poisoned until reused,
-// so a use after completion is still reported.
+// the thread exits; a frame finished on another thread than the one that
+// made it goes straight back to the heap. Under ASan a pooled frame stays
+// poisoned until reused, so a use after completion is still reported.
 class FramePool {
  public:
   FramePool() = default;
@@ -129,26 +125,24 @@ class FramePool {
   }
 
   void* take(std::size_t n) {
-    if (List* l = find(n)) {
-      if (Node* p = pop(*l)) return p;
-    }
+    List* l = find(n);
+    if (!l) l = &lists_.emplace_back(List{n, nullptr});
+    if (Node* p = pop(*l)) return p;
     return ::operator new(n);
   }
 
   void give(void* p, std::size_t n) noexcept {
-    List* list = find(n);
-    if (!list) {
-      try {
-        list = &lists_.emplace_back(List{n, nullptr});
-      } catch (...) {
-        ::operator delete(p);
-        return;
-      }
+    List* l = find(n);
+    if (!l) {
+      ::operator delete(p);
+      return;
     }
     Node* node = static_cast<Node*>(p);
-    node->next = list->head;
-    list->head = node;
-    QV_SIM_POISON(p, n);
+    node->next = l->head;
+    l->head = node;
+#if defined(__SANITIZE_ADDRESS__)
+    ASAN_POISON_MEMORY_REGION(p, n);
+#endif
   }
 
  private:
@@ -170,7 +164,9 @@ class FramePool {
   Node* pop(List& l) noexcept {
     Node* p = l.head;
     if (!p) return nullptr;
-    QV_SIM_UNPOISON(p, l.size);
+#if defined(__SANITIZE_ADDRESS__)
+    ASAN_UNPOISON_MEMORY_REGION(p, l.size);
+#endif
     l.head = p->next;
     return p;
   }
